@@ -31,7 +31,7 @@ from .quad import (
     OscillationSpec,
     QuadResult,
 )
-from .specfun import bessel_k, bessel_zeros, struve_minus_y
+from .specfun import bessel_zeros, struve_minus_y
 from .specfun import _legendre_p0_array, _legendre_q0_array
 
 __all__ = [
@@ -883,11 +883,7 @@ def _build_entries() -> list:
 
         def f(u):
             u = np.atleast_1d(np.asarray(u, dtype=float))
-            out = np.empty(u.shape, dtype=float)
-            for i, ui in enumerate(u):
-                kv = bessel_k(2.0 * nu, 2.0 * root * math.sqrt(ui))
-                out[i] = 2.0 * (phase * complex(kv.re, kv.im)).real * ui
-            return out
+            return 2.0 * (phase * _kv(2.0 * nu, 2.0 * root * np.sqrt(u))).real * u
 
         return f
 

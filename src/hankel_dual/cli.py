@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -44,6 +45,38 @@ def _default_jobs() -> int:
         return max(1, int(raw)) if raw else 1
     except ValueError:
         return 1
+
+
+def _tolerance(text: str) -> float:
+    """Parse a tolerance override: a finite number > 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number > 0, got {text!r}"
+        )
+    return tol
+
+
+def _job_count(text: str) -> int:
+    """Parse a worker-thread count: an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be an integer >= 1, got {text!r}")
+    return jobs
+
+
+def _config_value(cfg: dict, key: str, parse):
+    """Parse ``cfg[key]`` with ``parse``; a bad value is a usage error."""
+    try:
+        return parse(cfg[key])
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"config key {key!r}: {exc}")
 
 
 def _read_config(path: str) -> dict:
@@ -116,13 +149,13 @@ def _cmd_verify(args) -> int:
     if not entry_ids and cfg.get("entry"):
         entry_ids = [s for s in cfg["entry"].split(",") if s]
     group = args.group if args.group is not None else (
-        int(cfg["group"]) if cfg.get("group") else None
+        _config_value(cfg, "group", int) if cfg.get("group") else None
     )
     tol = args.tol if args.tol is not None else (
-        float(cfg["tol"]) if cfg.get("tol") else None
+        _config_value(cfg, "tol", _tolerance) if cfg.get("tol") else None
     )
     jobs = args.jobs if args.jobs is not None else (
-        int(cfg["jobs"]) if cfg.get("jobs") else _default_jobs()
+        _config_value(cfg, "jobs", _job_count) if cfg.get("jobs") else _default_jobs()
     )
     fmt = args.format or cfg.get("format") or "text"
     out = args.out or cfg.get("out")
@@ -249,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--entry", action="append", metavar="ID",
                           help="verify only this entry (repeatable)")
     p_verify.add_argument("--group", type=int, help="verify only this group")
-    p_verify.add_argument("--tol", type=float,
-                          help="override the per-class tolerance")
-    p_verify.add_argument("--jobs", type=int,
-                          help="worker threads (default HANKEL_DUAL_JOBS or 1)")
+    p_verify.add_argument("--tol", type=_tolerance,
+                          help="override the per-class tolerance (finite, > 0)")
+    p_verify.add_argument("--jobs", type=_job_count,
+                          help="worker threads, >= 1 (default HANKEL_DUAL_JOBS or 1)")
     p_verify.add_argument("--format", choices=("text", "json", "csv"))
     p_verify.add_argument("--out", metavar="PATH", help="write output to a file")
     p_verify.add_argument("--config", metavar="PATH",

@@ -2,13 +2,15 @@
 
 Every public evaluation returns a :class:`SpecialValue` (or
 :class:`ComplexValue` for complex arguments) carrying an estimated
-absolute error bound alongside the value.  Real-argument paths are
-backed by ``scipy.special``; complex modified-Bessel evaluation and
-general-order Legendre functions fall back to ``mpmath``.
+absolute error bound alongside the value.  Bessel-type functions,
+including modified Bessel K at complex arguments, are backed by
+``scipy.special`` (AMOS for complex K); only the associated Legendre
+functions of non-zero negative order fall back to ``mpmath``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,8 +64,10 @@ class SpecialValue:
 class ComplexValue:
     """A complex function value with an absolute error estimate.
 
-    Only needed for modified Bessel K on the rays arg z = ±π/4; final
-    catalog comparisons are always on manifestly real combinations.
+    Only needed for modified Bessel K on the rays arg z = ±π/4, computed
+    by scipy's AMOS ``kv``; the bound ``abs_err = 1e-11·(1+|w|)`` is loose
+    against its measured agreement with mpmath there (about 1e-15·(1+|w|)).
+    Final catalog comparisons are always on manifestly real combinations.
     """
 
     re: float
@@ -153,10 +157,11 @@ def bessel_i_scaled(nu, x) -> SpecialValue:
 def bessel_k(nu, z) -> SpecialValue | ComplexValue:
     """Modified Bessel function K_nu(z) for Re z > 0.
 
-    Real arguments use the scipy fast path and return a SpecialValue;
-    complex arguments (needed only on the rays arg z = ±π/4) are
-    evaluated with mpmath at elevated precision and return a
-    ComplexValue.
+    Both paths use scipy's ``kv``.  Real arguments return a SpecialValue;
+    complex arguments (needed only on the rays arg z = ±π/4) go through
+    AMOS (Amos 1986, ACM TOMS 644) and return a ComplexValue.  Overflow
+    raises RangeError: AMOS reports complex overflow as ``nan+nanj``, so
+    any non-finite complex result is treated as overflow.
     """
     nu = _as_order(nu)
     zc = complex(z)
@@ -167,10 +172,10 @@ def bessel_k(nu, z) -> SpecialValue | ComplexValue:
         if math.isinf(v):
             raise RangeError(f"bessel_k overflow at nu={nu}, z={z}")
         return SpecialValue(v, 1e-12 * (1.0 + abs(v)))
-    with mpmath.workdps(25):
-        w = mpmath.besselk(nu, mpmath.mpc(zc.real, zc.imag))
-        re, im = float(w.real), float(w.imag)
-    return ComplexValue(re, im, 1e-11 * (1.0 + math.hypot(re, im)))
+    w = complex(_sp.kv(nu, zc))
+    if not cmath.isfinite(w):
+        raise RangeError(f"bessel_k overflow at nu={nu}, z={z}")
+    return ComplexValue(w.real, w.imag, 1e-11 * (1.0 + abs(w)))
 
 
 def struve_h(nu, x) -> SpecialValue:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -167,3 +168,26 @@ def test_lhs_matches_rhs_smoke(entry_id):
     rhs = float(e.rhs(p))
     assert res.converged
     assert abs(res.value - rhs) / (1.0 + abs(rhs)) <= 1e-5
+
+
+def _t15_modulator_mpmath(nu, u):
+    """2 e^{i(nu+1)pi/2} K_(2nu)(2 e^{i pi/4} sqrt(u)) u at 30 digits."""
+    with mpmath.workdps(30):
+        z = 2 * mpmath.expjpi(mpmath.mpf(1) / 4) * mpmath.sqrt(u)
+        w = 2 * mpmath.expjpi((nu + 1) / 2) * mpmath.besselk(2 * nu, z) * u
+        return complex(w)
+
+
+@pytest.mark.parametrize("grid_index", [0, 1, 2])
+def test_t15_modulator_matches_scalar_mpmath(grid_index):
+    # The integrand is the real part of a complex product that can cancel
+    # (e.g. nu=1 at small u), so the error is measured against the modulus
+    # of that product, which is what limits any double-precision result.
+    entry = entry_by_id("T15")
+    P = entry.default_grid[grid_index]
+    us = np.geomspace(1e-4, 1e3, 10)
+    got = entry.pieces[0].integrand(P)(us)
+    assert got.shape == us.shape
+    for u, g in zip(us, got):
+        want = _t15_modulator_mpmath(P["nu"], u)
+        assert abs(g - want.real) <= 1e-13 * abs(want), (P.label(), u)

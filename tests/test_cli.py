@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hankel_dual import cli, verify
 
 CMD = [sys.executable, "-m", "hankel_dual.cli"]
@@ -107,6 +109,25 @@ def test_flat_config_bad_key(tmp_path):
     proc = run_cli("verify", "--config", str(cfg))
     assert proc.returncode == cli.EXIT_USAGE
     assert "unknown config key" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "line", ["tol=abc", "jobs=x", "group=x", "tol=0", "tol=nan", "jobs=0"]
+)
+def test_flat_config_bad_value_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("entry=T01\n" + line + "\n")
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
+    assert "config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+     ("--jobs", "0")],
+)
+def test_verify_meaningless_tol_or_jobs_is_usage_error(flag, value):
+    assert cli.main(["verify", "--entry", "T01", flag, value]) == cli.EXIT_USAGE
 
 
 def test_missing_config_is_usage_error():

@@ -1,7 +1,9 @@
 """Unit tests for the special-function layer."""
 
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -96,6 +98,28 @@ def test_complex_bessel_k_on_ray():
         assert isinstance(v, ComplexValue)
         assert abs(v.re - sp.ker(x)) < 1e-11
         assert abs(v.im - sp.kei(x)) < 1e-11
+
+
+# Orders 2nu of T15's K_(2nu) over its constraint -1/2 <= nu < 5/2.
+@pytest.mark.parametrize("order", [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.9])
+@pytest.mark.parametrize("sign", [1, -1], ids=["arg+pi/4", "arg-pi/4"])
+def test_complex_bessel_k_matches_mpmath_on_rays(order, sign):
+    # z = 2 e^{±i pi/4} sqrt(u), the argument T15 evaluates, over u in [1e-8, 1e6]
+    ray = cmath.exp(sign * 1j * math.pi / 4.0)
+    for u in np.geomspace(1e-8, 1e6, 15):
+        z = 2.0 * ray * math.sqrt(u)
+        got = bessel_k(order, z)
+        assert isinstance(got, ComplexValue)
+        with mpmath.workdps(30):
+            want = complex(mpmath.besselk(order, mpmath.mpc(z.real, z.imag)))
+        assert abs(got.value - want) <= 1e-13 * (1.0 + abs(want)), (order, u)
+        assert abs(got.value - want) <= got.abs_err, (order, u)
+
+
+def test_complex_bessel_k_overflow_raises():
+    # AMOS returns nan+nanj here; the true |K| is about 3e492, beyond double range
+    with pytest.raises(RangeError):
+        bessel_k(4.9, 1e-100 * cmath.exp(1j * math.pi / 4.0))
 
 
 def test_struve_parameter_checks():
