@@ -129,9 +129,14 @@ def _emit(text: str, out: Optional[str]):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (`| head`); the rows are still
+            # decided, so the command keeps its exit code, and stdout
+            # goes to devnull so the interpreter's final flush stays quiet
+            sys.stdout = open(os.devnull, "w")
 
 
 def _report_exit(report: verify.Report) -> int:

@@ -5,6 +5,10 @@ for admissible F; admissibility is the integrability condition
 int_0^inf sqrt(x) |F(x)| dx < inf, which translates into envelope
 power-law exponents: the amplitude of F must grow slower than x^{-3/2}
 at zero and decay faster than x^{-3/2} at infinity.
+
+The forward transform has one algorithm, ``quad.integrate_entry``: a
+compact seed is integrated over [0, support_upper], and every other
+seed goes through the oscillatory tail integrator on [0, inf).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.special as _sp
 
 from . import quad
 from .errors import AdmissibilityError, InconclusiveConditionError
@@ -138,65 +141,6 @@ def _require_admissible(F: SeedFunction):
     return verdict
 
 
-def _decay_cutoff(F: SeedFunction, tol: float) -> float:
-    """Truncation point X with |x F(x)| negligible beyond it."""
-    x = 1.0
-    tiny = max(tol * 1e-4, 1e-15)
-    for _ in range(24):
-        sample = np.linspace(x, 2.0 * x, 17)
-        with np.errstate(all="ignore"):
-            mag = np.abs(sample * F(sample))
-        if np.all(~np.isfinite(mag) | (mag < tiny)):
-            return 2.0 * x
-        x *= 2.0
-    return x
-
-
-class _PanelRule:
-    """Composite Gauss-Legendre rule on [0, X], reusable across calls.
-
-    The first uniform panel is subdivided geometrically toward zero so
-    that integrable endpoint singularities (e.g. the logarithm of K_0)
-    are resolved.
-    """
-
-    def __init__(self, X: float, panels: int):
-        gx, gw = np.polynomial.legendre.leggauss(25)
-        uniform = np.linspace(0.0, X, panels + 1)
-        first = uniform[1]
-        graded = first * 0.5 ** np.arange(30, -1, -1.0)
-        edges = np.concatenate([[0.0], graded, uniform[2:]])
-        h = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        self.nodes = (mid[:, None] + h[:, None] * gx[None, :]).ravel()
-        self.weights = (h[:, None] * gw[None, :]).ravel()
-
-
-def _forward_values(F: SeedFunction, nu: float, us: np.ndarray, tol: float):
-    """Batched forward transform for rapidly decaying / compact seeds.
-
-    Uses a fixed composite rule sized to the fastest kernel oscillation
-    in the batch, with a half-step refinement for the error estimate.
-    Returns (values, abs_err array, evaluation count).
-    """
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    if F.support_upper is not None:
-        X = F.support_upper
-    else:
-        X = _decay_cutoff(F, tol)
-    umax = float(np.max(us)) if us.size else 1.0
-    panels = max(24, int(math.ceil(X * umax / (4.0 * math.pi))) + 4)
-    vals = []
-    for p in (panels, 2 * panels):
-        rule = _PanelRule(X, p)
-        wxf = rule.weights * rule.nodes * F(rule.nodes)
-        kern = _sp.jv(nu, us[:, None] * rule.nodes[None, :])
-        vals.append(kern @ wxf)
-    err = np.abs(vals[1] - vals[0]) + 1e-15 * (1.0 + np.abs(vals[1]))
-    evals = 3 * panels * 25
-    return vals[1], err, evals
-
-
 def hankel_forward(
     F: SeedFunction,
     nu: float,
@@ -204,21 +148,20 @@ def hankel_forward(
     tol: float = 1e-9,
     assume_admissible: bool = False,
 ) -> QuadResult:
-    """G(b) = int_0^inf x F(x) J_nu(b x) dx."""
+    """G(b) = int_0^inf x F(x) J_nu(b x) dx.
+
+    A compact seed is integrated over [0, support_upper]; every other
+    seed goes through the oscillatory tail integrator.
+    """
     if b <= 0.0:
         raise ValueError("transform argument b must be > 0")
     if not assume_admissible:
         _require_admissible(F)
-    if F.support_upper is not None or F.decay_at_inf == -math.inf:
-        v, e, n = _forward_values(F, nu, np.asarray([b]), tol)
-        ae = float(e[0])
-        return QuadResult(float(v[0]), ae, n, ae <= tol)
-    return quad.integrate_entry(
-        lambda x: x * F(x),
-        Interval.full_half_line(),
-        OscillationSpec(nu, b),
-        tol,
-    )
+    if F.support_upper is not None:
+        iv = Interval.finite_from_zero(F.support_upper)
+    else:
+        iv = Interval.full_half_line()
+    return quad.integrate_entry(lambda x: x * F(x), iv, OscillationSpec(nu, b), tol)
 
 
 def hankel_inverse(
@@ -257,21 +200,12 @@ def dual_roundtrip(
     """
     _require_admissible(F)
     inner_tol = max(tol * 1e-4, 1e-11)
-    fast = F.support_upper is not None or F.decay_at_inf == -math.inf
 
-    if fast:
-        def G(us):
-            v, _, _ = _forward_values(F, nu, us, inner_tol)
-            return v
-    else:
-        def G(us):
-            us = np.atleast_1d(np.asarray(us, dtype=float))
-            return np.asarray(
-                [
-                    hankel_forward(F, nu, float(u), inner_tol, True).value
-                    for u in us
-                ]
-            )
+    def G(us):
+        us = np.atleast_1d(np.asarray(us, dtype=float))
+        return np.asarray(
+            [hankel_forward(F, nu, float(u), inner_tol, True).value for u in us]
+        )
 
     extra = None
     if F.support_upper is not None:

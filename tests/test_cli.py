@@ -2,7 +2,9 @@
 plus in-process checks for paths that need fixtures."""
 
 import dataclasses
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -11,11 +13,15 @@ import pytest
 from hankel_dual import cli, verify
 
 CMD = [sys.executable, "-m", "hankel_dual.cli"]
+# the child imports the package these tests imported, installed or not
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+ENV = dict(os.environ)
+ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, ENV.get("PYTHONPATH")]))
 
 
 def run_cli(*args, **kw):
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300, **kw
+        CMD + list(args), capture_output=True, text=True, timeout=300, env=ENV, **kw
     )
 
 
@@ -178,3 +184,16 @@ def test_jobs_env_default(monkeypatch):
     assert cli._default_jobs() == 3
     monkeypatch.setenv("HANKEL_DUAL_JOBS", "junk")
     assert cli._default_jobs() == 1
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_keeps_exit_code(monkeypatch, capsys):
+    # `verify ... | head -1`: the reader goes away, every row still passed
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = cli.main(["verify", "--entry", "T01", "--format", "json"])
+    assert code == cli.EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err

@@ -52,6 +52,8 @@ def indicator_seed():
     )
 
 
+FORWARD_BS = (0.1, 1.0, 7.3, 40.0)
+
 SMOOTH_SEEDS = [
     (gaussian_seed(), 0.0),
     (k0_seed(), 0.0),
@@ -61,30 +63,33 @@ SMOOTH_SEEDS = [
 ]
 
 
-def test_forward_known_gaussian():
-    # G(b) = (1/2) exp(-b^2/4) for F = exp(-x^2), nu = 0
-    for b in (0.5, 1.0, 2.0):
-        res = hankel_forward(gaussian_seed(), 0.0, b, tol=1e-10)
-        truth = 0.5 * math.exp(-b * b / 4.0)
-        assert res.converged
-        assert abs(res.value - truth) <= 5.0 * res.abs_err
-        assert abs(res.value - truth) < 1e-10
+# seed, nu, closed-form G(b), tol, bound on |error|, b values; FORWARD_BS
+# spans the b the inverse asks for in the acceptance round trips
+FORWARD_CLOSED_FORMS = [
+    (gaussian_seed(), 0.0, lambda b: 0.5 * math.exp(-b * b / 4.0), 1e-10, 1e-10,
+     (0.5, 2.0) + FORWARD_BS),
+    (power_exp_seed(0.0), 0.0, lambda b: (1.0 + b * b) ** -1.5, 1e-10, 1e-9,
+     (0.5, 2.0) + FORWARD_BS),
+    (indicator_seed(), 0.0, lambda b: sp.jv(1.0, b) / b, 1e-9, 1e-9, (0.7, 2.3)),
+    (k0_seed(), 0.0, lambda b: 1.0 / (1.0 + b * b), 1e-10, 1e-9, FORWARD_BS),
+    (power_exp_seed(1.0), 1.0, lambda b: 3.0 * b / (1.0 + b * b) ** 2.5, 1e-10, 1e-9,
+     FORWARD_BS),
+    (truncated_power_seed(), 0.0, lambda b: 2.0 * sp.jv(2.0, b) / b**2, 1e-10, 1e-9,
+     FORWARD_BS),
+]
 
 
-def test_forward_known_exponential():
-    # G(b) = (1 + b^2)^{-3/2} for F = exp(-x), nu = 0
-    for b in (0.5, 1.0, 2.0):
-        res = hankel_forward(power_exp_seed(0.0), 0.0, b, tol=1e-10)
-        truth = (1.0 + b * b) ** -1.5
-        assert res.converged
-        assert abs(res.value - truth) <= 5.0 * res.abs_err
-
-
-def test_forward_known_indicator():
-    # G(b) = J_1(b)/b for the indicator of [0, 1], nu = 0
-    for b in (0.7, 2.3):
-        res = hankel_forward(indicator_seed(), 0.0, b, tol=1e-9)
-        assert abs(res.value - sp.jv(1.0, b) / b) <= 5.0 * res.abs_err
+@pytest.mark.parametrize(
+    "F,nu,truth,tol,bound,b",
+    [row[:5] + (b,) for row in FORWARD_CLOSED_FORMS for b in row[5]],
+    ids=[f"{row[0].name}-b={b}" for row in FORWARD_CLOSED_FORMS for b in row[5]],
+)
+def test_forward_closed_forms(F, nu, truth, tol, bound, b):
+    res = hankel_forward(F, nu, b, tol=tol)
+    err = abs(res.value - truth(b))
+    assert res.converged
+    assert err <= 5.0 * res.abs_err
+    assert err < bound
 
 
 @pytest.mark.parametrize("F,nu", SMOOTH_SEEDS, ids=[s.name for s, _ in SMOOTH_SEEDS])
