@@ -40,11 +40,12 @@ class UsageError(Exception):
 
 
 def _default_jobs() -> int:
+    """Worker count from HANKEL_DUAL_JOBS (1 when unset or empty)."""
     raw = os.environ.get("HANKEL_DUAL_JOBS", "")
     try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+        return _job_count(raw) if raw else 1
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"environment variable HANKEL_DUAL_JOBS: {exc}")
 
 
 def _tolerance(text: str) -> float:

@@ -6,9 +6,11 @@ int_0^inf sqrt(x) |F(x)| dx < inf, which translates into envelope
 power-law exponents: the amplitude of F must grow slower than x^{-3/2}
 at zero and decay faster than x^{-3/2} at infinity.
 
-The forward transform has one algorithm, ``quad.integrate_entry``: a
-compact seed is integrated over [0, support_upper], and every other
-seed goes through the oscillatory tail integrator on [0, inf).
+Both transforms go through ``quad.integrate_entry``.  A compact seed's
+forward transform is integrated over [0, support_upper], every other
+one and every inverse through the oscillatory tail integrator on
+[0, inf), which picks its own extrapolation: no caller tells it where
+F jumps.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from . import quad
 from .errors import AdmissibilityError, InconclusiveConditionError
 from .quad import Interval, OscillationSpec, QuadResult
-from .specfun import bessel_zeros
 
 __all__ = [
     "SeedFunction",
@@ -169,21 +170,15 @@ def hankel_inverse(
     nu: float,
     r: float,
     tol: float = 1e-9,
-    extra_breaks: Optional[Callable[[int], np.ndarray]] = None,
-    head: Optional[float] = None,
-    accel: str = "epsilon",
 ) -> QuadResult:
     """int_0^inf u G(u) J_nu(u r) du."""
     if r <= 0.0:
         raise ValueError("transform argument r must be > 0")
-    osc = OscillationSpec(nu, r, "j", extra_breaks)
     return quad.integrate_entry(
         lambda u: u * np.asarray(G(u), dtype=float),
         Interval.full_half_line(),
-        osc,
+        OscillationSpec(nu, r),
         tol,
-        head=head,
-        accel=accel,
     )
 
 
@@ -196,7 +191,9 @@ def dual_roundtrip(
     """Forward-then-inverse transform; residuals against F on r_grid.
 
     The inverse converges to F(r) at continuity points and to the jump
-    midpoint at declared discontinuities.
+    midpoint where F jumps, so there the residual against F(r) is half
+    the jump.  Nothing about the seed's support or jumps is passed to
+    the inverse.
     """
     _require_admissible(F)
     inner_tol = max(tol * 1e-4, 1e-11)
@@ -207,29 +204,10 @@ def dual_roundtrip(
             [hankel_forward(F, nu, float(u), inner_tol, True).value for u in us]
         )
 
-    extra = None
-    if F.support_upper is not None:
-        s_up = F.support_upper
-        extra = lambda m: bessel_zeros(nu + 1.0, m) / s_up
-
     out = []
     for r in r_grid:
         r = float(r)
-        # at the support edge of a compact seed the lobe sums stop
-        # alternating (same-frequency Bessel product); switch to the
-        # constant-phase period extrapolation there
-        at_jump = (
-            F.support_upper is not None
-            and abs(r - F.support_upper) <= 1e-12 * max(1.0, r)
-        )
-        res = hankel_inverse(
-            G,
-            nu,
-            r,
-            0.3 * tol,
-            extra_breaks=extra,
-            accel="period" if at_jump else "epsilon",
-        )
+        res = hankel_inverse(G, nu, r, 0.3 * tol)
         target = float(F(np.asarray([r]))[0])
         out.append((r, abs(res.value - target)))
     return out

@@ -4,8 +4,10 @@ Two workhorses: an adaptive Gauss-Legendre bisection rule for finite
 segments (with mandatory endpoint substitutions for declared
 inverse-square-root singularities and geometric refinement for
 logarithmic ones), and a semi-infinite oscillatory integrator that
-partitions the axis at Bessel-kernel zeros and accelerates the
-alternating lobe sums with Wynn's epsilon algorithm.
+partitions the axis at Bessel-kernel zeros and extrapolates the lobe
+sums.  It runs Wynn's epsilon algorithm, for sums that alternate, and a
+constant-phase fit in inverse powers of the truncation point, for sums
+that do not, side by side; the first to converge gives the result.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2_000_000
+# lobes of partial sums that one Wynn epsilon table spans
+_EPSILON_WINDOW = 40
 
 FINITE_FROM_ZERO = "finite_from_zero"
 TAIL = "tail"
@@ -358,6 +362,10 @@ class _BreakStream:
             self._merged = keep
         return self._merged[i]
 
+    def kernel_zeros_through(self, x: float) -> int:
+        """Number of kernel zeros at or below a break point x."""
+        return int(np.searchsorted(self._kernel, x * (1.0 + 1e-12), side="right"))
+
 
 def _period_fit(ts: np.ndarray, ss: np.ndarray) -> tuple[float, float]:
     """Extrapolate full-period partial sums by least-squares polynomial
@@ -391,18 +399,20 @@ def integrate_oscillatory_tail(
     head: Optional[float] = None,
     lower_hint: Optional[str] = None,
     max_lobes: int = 220,
-    window: int = 40,
     budget: int = DEFAULT_BUDGET,
-    accel: str = "epsilon",
 ) -> QuadResult:
     """Integrate f_smooth(t) * C_nu(frequency*t) over [lower, inf).
 
     The axis is partitioned at the scaled kernel zeros (united with any
-    extra break sequence declared on the oscillation spec); each lobe
-    is integrated with a fixed Gauss-Legendre rule and the alternating
-    partial sums are accelerated with Wynn's epsilon algorithm over a
-    sliding window.  Integrands whose lobes decay below the tolerance
-    terminate by direct summation with a tail bound instead.
+    extra break sequence declared on the oscillation spec) and each lobe
+    is integrated with a fixed Gauss-Legendre rule.  Two extrapolators
+    run side by side on the partial sums: Wynn's epsilon algorithm over
+    a sliding window of lobes, for sums that alternate, and a
+    constant-phase fit (``_period_fit``) of the sums at every second
+    kernel zero, for sums that do not (a product of two Bessel functions
+    of the same frequency).  The first whose error estimate meets the
+    tolerance gives the result.  Integrands whose lobes decay below the
+    tolerance terminate by direct summation with a tail bound instead.
     """
     g = _Counter(lambda t: np.asarray(f_smooth(t), dtype=float) * osc.kernel(t))
 
@@ -427,15 +437,12 @@ def integrate_oscillatory_tail(
     else:
         head_val, head_err, evals = 0.0, 0.0, 0
 
-    if accel not in ("epsilon", "period"):
-        raise ValueError(f"unknown acceleration mode {accel!r}")
-    kernel_zeros = None
-    kz_idx = 0
+    sums = []
+    # partial sums at every second lobe end that passes a kernel zero
     period_t: list[float] = []
     period_s: list[float] = []
-    seen_kz = 0
-
-    sums = []
+    zeros_passed = 0
+    crossings = 0
     total = head_val
     prev_est = None
     best_val, best_raw = total, math.inf
@@ -456,36 +463,8 @@ def integrate_oscillatory_tail(
             tail_bound = 3.0 * (lobe_mags[-1] + lobe_mags[-2])
             abs_err = tail_bound + head_err
             return QuadResult(total, max(abs_err, 1e-16), g.n + evals, abs_err <= tol)
-        if accel == "period":
-            if kernel_zeros is None or kz_idx >= len(kernel_zeros):
-                n_need = max(256, 2 * (kz_idx + 8))
-                kernel_zeros = (
-                    bessel_zeros(osc.bessel_order, n_need, osc.kind)
-                    / osc.frequency
-                )
-            crossed = False
-            while kz_idx < len(kernel_zeros) and kernel_zeros[kz_idx] <= b * (
-                1.0 + 1e-12
-            ):
-                kz_idx += 1
-                crossed = True
-            if crossed:
-                seen_kz += 1
-                if seen_kz % 2 == 0:
-                    period_t.append(b)
-                    period_s.append(total)
-            if len(period_t) >= 18:
-                est, raw = _period_fit(
-                    np.asarray(period_t), np.asarray(period_s)
-                )
-                if raw < best_raw:
-                    best_val, best_raw = est, raw
-                if raw < 0.3 * tol:
-                    abs_err = max(2.0 * raw + head_err, 1e-16)
-                    return QuadResult(est, abs_err, g.n + evals, abs_err <= tol)
-            continue
         if n_lobes >= 6:
-            est, raw = epsilon_extrapolate(sums[-window:])
+            est, raw = epsilon_extrapolate(sums[-_EPSILON_WINDOW:])
             if math.isfinite(est) and raw < best_raw:
                 best_val, best_raw = est, raw
             if prev_est is not None and math.isfinite(est):
@@ -495,31 +474,22 @@ def integrate_oscillatory_tail(
                     abs_err = max(abs_err, 1e-16)
                     return QuadResult(est, abs_err, g.n + evals, abs_err <= tol)
             prev_est = est if math.isfinite(est) else prev_est
+        passed = stream.kernel_zeros_through(b)
+        if passed > zeros_passed:
+            zeros_passed = passed
+            crossings += 1
+            if crossings % 2 == 0:
+                period_t.append(b)
+                period_s.append(total)
+                if len(period_t) >= 18:
+                    est, raw = _period_fit(np.asarray(period_t), np.asarray(period_s))
+                    if raw < best_raw:
+                        best_val, best_raw = est, raw
+                    if raw < 0.3 * tol:
+                        abs_err = max(2.0 * raw + head_err, 1e-16)
+                        return QuadResult(est, abs_err, g.n + evals, abs_err <= tol)
     abs_err = 2.0 * best_raw + head_err if math.isfinite(best_raw) else math.inf
     return QuadResult(best_val, abs_err, g.n + evals, False)
-
-
-def _integrate_decaying_tail(f, lower, tol, budget=DEFAULT_BUDGET):
-    """Non-oscillatory decaying tail: doubling windows until negligible."""
-    total = 0.0
-    err = 0.0
-    evals = 0
-    a = lower
-    width = 1.0
-    small_streak = 0
-    for _ in range(64):
-        b = a + width
-        res = integrate_finite(f, Interval.segment(a, b), 0.1 * tol, budget)
-        total += res.value
-        err += res.abs_err
-        evals += res.evaluations
-        small_streak = small_streak + 1 if abs(res.value) < 0.02 * tol else 0
-        if small_streak >= 2:
-            abs_err = err + 2.0 * abs(res.value)
-            return QuadResult(total, abs_err, evals, abs_err <= tol)
-        a = b
-        width *= 2.0
-    return QuadResult(total, math.inf, evals, False)
 
 
 def integrate_entry(
@@ -529,13 +499,14 @@ def integrate_entry(
     tol: float = 1e-9,
     head: Optional[float] = None,
     budget: int = DEFAULT_BUDGET,
-    accel: str = "epsilon",
     max_lobes: int = 220,
 ) -> QuadResult:
     """Dispatch an integrand + interval (+ kernel spec) to the right rule.
 
     When ``osc`` is given, ``f`` is the smooth (non-kernel) factor and
-    the full integrand is f(t) * C_nu(frequency * t).
+    the full integrand is f(t) * C_nu(frequency * t).  An infinite
+    interval needs a kernel: its lobes are what the tail integrator
+    sums.
     """
     if iv.is_finite:
         if osc is None:
@@ -543,17 +514,15 @@ def integrate_entry(
         else:
             full = lambda t: np.asarray(f(t), dtype=float) * osc.kernel(t)
         return integrate_finite(full, iv, tol, budget)
-    lower = iv.lower if iv.kind == TAIL else 0.0
     if osc is None:
-        return _integrate_decaying_tail(f, lower, tol, budget)
+        raise ValueError("an infinite interval needs an oscillation spec")
     return integrate_oscillatory_tail(
         f,
         osc,
-        lower,
+        iv.lower if iv.kind == TAIL else 0.0,
         tol,
         head=head,
         lower_hint=iv.singularity_hint,
         budget=budget,
-        accel=accel,
         max_lobes=max_lobes,
     )

@@ -145,15 +145,6 @@ def bessel_i(nu, x) -> SpecialValue:
     return SpecialValue(v, 1e-13 * (1.0 + abs(v)))
 
 
-def bessel_i_scaled(nu, x) -> SpecialValue:
-    """Exponentially scaled modified Bessel function e^{-x} I_nu(x)."""
-    nu, x = _as_order(nu), float(x)
-    if x < 0.0:
-        raise DomainError(f"bessel_i_scaled requires x >= 0, got {x}")
-    v = float(_sp.ive(nu, x))
-    return SpecialValue(v, 1e-13 * (1.0 + abs(v)))
-
-
 def bessel_k(nu, z) -> SpecialValue | ComplexValue:
     """Modified Bessel function K_nu(z) for Re z > 0.
 

@@ -19,9 +19,9 @@ ENV = dict(os.environ)
 ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, ENV.get("PYTHONPATH")]))
 
 
-def run_cli(*args, **kw):
+def run_cli(*args, env=ENV, **kw):
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300, env=ENV, **kw
+        CMD + list(args), capture_output=True, text=True, timeout=300, env=env, **kw
     )
 
 
@@ -180,10 +180,21 @@ def test_fail_exit_code_with_corrupted_fixture(monkeypatch, capsys):
 
 
 def test_jobs_env_default(monkeypatch):
+    monkeypatch.delenv("HANKEL_DUAL_JOBS", raising=False)
+    assert cli._default_jobs() == 1
     monkeypatch.setenv("HANKEL_DUAL_JOBS", "3")
     assert cli._default_jobs() == 3
-    monkeypatch.setenv("HANKEL_DUAL_JOBS", "junk")
-    assert cli._default_jobs() == 1
+    for bad in ("junk", "0", "-3"):
+        monkeypatch.setenv("HANKEL_DUAL_JOBS", bad)
+        with pytest.raises(cli.UsageError):
+            cli._default_jobs()
+
+
+def test_bad_jobs_env_is_usage_error():
+    proc = run_cli("verify", "--entry", "T01", env={**ENV, "HANKEL_DUAL_JOBS": "abc"})
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "HANKEL_DUAL_JOBS" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class _ClosedPipe(io.StringIO):

@@ -105,6 +105,37 @@ def test_roundtrip_jump_recovers_midpoint():
     assert abs(resid - 0.5) <= 1e-5
 
 
+def compact_seed(fn, name):
+    return SeedFunction(
+        lambda x: np.where(x <= 1.0, fn(x), 0.0), 0.0, None, support_upper=1.0, name=name
+    )
+
+
+JUMP_SEEDS = [
+    (compact_seed(lambda x: 1.0 - 0.5 * x * x, "(1-x^2/2) 1_[0,1]"), 0.0),
+    (compact_seed(lambda x: x, "x 1_[0,1]"), 1.0),
+]
+
+
+@pytest.mark.parametrize("F,nu", JUMP_SEEDS, ids=[s.name for s, _ in JUMP_SEEDS])
+def test_roundtrip_jump_midpoint_without_alternation(F, nu):
+    # F jumps from F(1) to 0 at r = 1, so the inverse must return F(1)/2.
+    # Unlike the indicator's, these lobe sums at the J_nu zeros do not
+    # equal the limit, and they do not alternate: epsilon alone misses
+    # by about 2e-4, the constant-phase fit meets the bound
+    ((r, resid),) = dual_roundtrip(F, nu, [1.0], tol=1e-6)
+    half_jump = 0.5 * float(F(np.asarray([1.0]))[0])
+    assert abs(resid - half_jump) <= 1e-5
+
+
+@pytest.mark.parametrize("r", [0.5581, 0.7777, 0.8445])
+def test_roundtrip_truncated_power_off_grid(r):
+    # radii off the acceptance grid; an inverse that also breaks its lobes
+    # at the J_1 zeros of the support edge misses here by 7e-6 to 3e-5
+    ((_, resid),) = dual_roundtrip(truncated_power_seed(), 0.0, [r], tol=1e-6)
+    assert resid <= 1e-6, (r, resid)
+
+
 def test_scale_covariance():
     # F_s(x) = F(s x)  =>  G_s(b) = s^{-2} G(b/s)
     F = gaussian_seed()
