@@ -820,15 +820,10 @@ def _build_entries() -> list:
 
     # ---- group 3: Bessel and Struve factors ----
 
-    def _sqrt_breaks(order, scale):
+    def _sqrt_breaks(order, scale, kind="j"):
         """Breaks of J/Y_order(scale*sqrt(u)) as a function of u."""
-        def mk(m, order=order, scale=scale):
-            return (bessel_zeros(order, m) / scale) ** 2
-        return mk
-
-    def _sqrt_breaks_y(order, scale):
-        def mk(m, order=order, scale=scale):
-            return (bessel_zeros(order, m, "y") / scale) ** 2
+        def mk(m):
+            return (bessel_zeros(order, m, kind) / scale) ** 2
         return mk
 
     E.append(IntegralEntry(
@@ -913,7 +908,7 @@ def _build_entries() -> list:
             )),
             interval=lambda P: Interval.full_half_line(),
             osc=lambda P: OscillationSpec(
-                P["nu"], P["z"], "j", _sqrt_breaks_y(2.0 * P["nu"], 2.0)
+                P["nu"], P["z"], "j", _sqrt_breaks(2.0 * P["nu"], 2.0, "y")
             ),
             head=lambda P: 45.0 / min(1.0, P["z"]) ** 2,
         ),),

@@ -208,3 +208,15 @@ def test_closed_stdout_keeps_exit_code(monkeypatch, capsys):
     code = cli.main(["verify", "--entry", "T01", "--format", "json"])
     assert code == cli.EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_import_skips_optimize_and_mpmath():
+    code = (
+        "import sys, hankel_dual.cli; "
+        "print([m for m in ('scipy.optimize', 'mpmath') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -177,8 +177,27 @@ def test_bessel_zeros_match_scipy_integer_orders():
         assert np.max(np.abs(ours - ref)) < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["j", "y"])
+def test_bessel_zero_contract(kind):
+    """60 zeros per order nu in [-1/2, 12], spaced and interlaced as DLMF 10.21."""
+    import scipy.special as sp
+
+    f = sp.jv if kind == "j" else sp.yv
+    for nu in np.round(np.arange(-0.5, 12.0 + 1e-9, 0.05), 2):
+        z = bessel_zeros(nu, 60, kind)
+        assert np.max(np.abs(f(nu, z))) <= 1e-13, nu
+        # one sign on (0, z_1), then a sign change across every zero
+        head = f(nu, np.geomspace(1e-8 * z[0], z[0], 200, endpoint=False))
+        assert np.all(head > 0) or np.all(head < 0), nu
+        signs = np.sign(np.concatenate([head[:1], f(nu, 0.5 * (z[:-1] + z[1:]))]))
+        assert np.all(signs[:-1] * signs[1:] < 0), nu
+        assert np.min(np.diff(z)) > 2.5, nu
+
+
 def test_bessel_zero_validation():
     with pytest.raises(DomainError):
         bessel_zero(-1.0, 1)
+    with pytest.raises(DomainError):
+        bessel_zeros(-0.9, 4)
     with pytest.raises(ValueError):
         bessel_zero(0.0, 0)
