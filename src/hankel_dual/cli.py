@@ -94,10 +94,13 @@ def _read_config(path: str) -> dict:
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad JSON config {path!r}: {exc}")
         out = {}
-        if "entries" in doc:
-            out["entry"] = ",".join(e["id"] for e in doc["entries"])
-        if "failures" in doc:
-            out["seed"] = ",".join(s["id"] for s in doc["failures"])
+        for section, key in (("entries", "entry"), ("failures", "seed")):
+            items = doc.get(section, [])
+            if not isinstance(items, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("id"), str) for e in items
+            ):
+                raise UsageError(f"bad JSON config {path!r}: each {section!r} item needs an 'id'")
+            out[key] = ",".join(e["id"] for e in items)
         return out
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -127,7 +130,11 @@ def _select_entries(entry_ids, group) -> list:
 
 def _emit(text: str, out: Optional[str]):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write output {out!r}: {exc.strerror}")
+        with fh:
             fh.write(text)
     else:
         try:

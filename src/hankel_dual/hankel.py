@@ -6,11 +6,12 @@ int_0^inf sqrt(x) |F(x)| dx < inf, which translates into envelope
 power-law exponents: the amplitude of F must grow slower than x^{-3/2}
 at zero and decay faster than x^{-3/2} at infinity.
 
-Both transforms go through ``quad.integrate_entry``.  A compact seed's
+Both transforms run ``quad``'s integration rules.  A compact seed's
 forward transform is integrated over [0, support_upper], every other
 one and every inverse through the oscillatory tail integrator on
 [0, inf), which picks its own extrapolation: no caller tells it where
-F jumps.
+F jumps.  The forward transforms at all u of one inverse node request
+run in lockstep, sharing one F call and one J_nu call per step.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.special as sp
 
 from . import quad
 from .errors import AdmissibilityError, InconclusiveConditionError
@@ -72,7 +74,11 @@ def _estimate_exponent(F: SeedFunction, window: tuple[float, float], at_inf: boo
     xs = np.logspace(math.log10(window[0]), math.log10(window[1]), 801)
     with np.errstate(all="ignore"):
         ys = np.abs(F(xs))
-    ok = np.isfinite(ys) & (ys > 1e-280)
+    endpoint = "Infinity" if at_inf else "Zero"
+    if not np.all(np.isfinite(ys)):  # overflow or NaN is never decay
+        msg = f"F is not finite on [{window[0]:g}, {window[1]:g}] at {endpoint}"
+        raise InconclusiveConditionError(msg, endpoint=endpoint)
+    ok = ys > 1e-280
     if np.count_nonzero(ok) < 20:
         # effectively zero on the window: harmless at either endpoint
         return -math.inf if at_inf else 2.0
@@ -90,7 +96,6 @@ def _estimate_exponent(F: SeedFunction, window: tuple[float, float], at_inf: boo
         lx, ly = np.asarray(bx), np.asarray(by)
     slope = float(np.polyfit(lx, ly, 1)[0])
     if abs(slope - THRESHOLD) <= BAND:
-        endpoint = "Infinity" if at_inf else "Zero"
         raise InconclusiveConditionError(
             f"estimated envelope exponent {slope:.4f} within +-{BAND} of "
             f"{THRESHOLD} at {endpoint}",
@@ -142,6 +147,34 @@ def _require_admissible(F: SeedFunction):
     return verdict
 
 
+def _forward_lockstep(F: SeedFunction, nu: float, bs, tol: float) -> list[QuadResult]:
+    """G(b) at every b in bs, one integration generator per b.  Each step
+    answers every live generator's request from one F call and one J_nu
+    call, so each b gets exactly the result it would get on its own."""
+    if F.support_upper is not None:
+        seg = Interval.finite_from_zero(F.support_upper)
+        live = [(k, b, quad.finite_steps(seg, tol)) for k, b in enumerate(bs)]
+    else:
+        live = [(k, b, quad.tail_steps(OscillationSpec(nu, b), 0.0, tol)) for k, b in enumerate(bs)]
+    results, values = [None] * len(bs), [None] * len(bs)
+    while live:
+        requests, still = [], []
+        for (k, b, steps), y in zip(live, values):
+            try:
+                requests.append(steps.send(y))
+                still.append((k, b, steps))
+            except StopIteration as stop:
+                results[k] = stop.value
+        live = still
+        if live:
+            sizes = [x.size for x in requests]
+            X = np.concatenate(requests)
+            Y = X * F(X) * sp.jv(nu, np.repeat([b for _, b, _ in live], sizes) * X)
+            ends = np.cumsum(sizes).tolist()
+            values = [Y[end - n:end] for end, n in zip(ends, sizes)]
+    return results
+
+
 def hankel_forward(
     F: SeedFunction,
     nu: float,
@@ -158,11 +191,7 @@ def hankel_forward(
         raise ValueError("transform argument b must be > 0")
     if not assume_admissible:
         _require_admissible(F)
-    if F.support_upper is not None:
-        iv = Interval.finite_from_zero(F.support_upper)
-    else:
-        iv = Interval.full_half_line()
-    return quad.integrate_entry(lambda x: x * F(x), iv, OscillationSpec(nu, b), tol)
+    return _forward_lockstep(F, nu, [b], tol)[0]
 
 
 def hankel_inverse(
@@ -193,16 +222,14 @@ def dual_roundtrip(
     The inverse converges to F(r) at continuity points and to the jump
     midpoint where F jumps, so there the residual against F(r) is half
     the jump.  Nothing about the seed's support or jumps is passed to
-    the inverse.
+    the inverse.  G runs the forwards at one node request's u in lockstep.
     """
     _require_admissible(F)
     inner_tol = max(tol * 1e-4, 1e-11)
 
     def G(us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        return np.asarray(
-            [hankel_forward(F, nu, float(u), inner_tol, True).value for u in us]
-        )
+        bs = np.atleast_1d(np.asarray(us, dtype=float)).tolist()
+        return np.asarray([res.value for res in _forward_lockstep(F, nu, bs, inner_tol)])
 
     out = []
     for r in r_grid:

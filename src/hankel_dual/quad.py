@@ -8,6 +8,11 @@ partitions the axis at Bessel-kernel zeros and extrapolates the lobe
 sums.  It runs Wynn's epsilon algorithm, for sums that alternate, and a
 constant-phase fit in inverse powers of the truncation point, for sums
 that do not, side by side; the first to converge gives the result.
+
+Both rules are generators (``finite_steps``, ``tail_steps``) that yield
+the nodes where they need the full integrand and are sent its values;
+``_drive`` answers them from one integrand, and ``hankel`` answers many
+forward transforms' requests with one evaluation.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +35,8 @@ __all__ = [
     "integrate_finite",
     "integrate_oscillatory_tail",
     "integrate_entry",
+    "finite_steps",
+    "tail_steps",
 ]
 
 DEFAULT_BUDGET = 2_000_000
@@ -126,18 +132,21 @@ class OscillationSpec:
 # Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
+_X25, _W25 = np.polynomial.legendre.leggauss(25)
+_X12, _W12 = np.polynomial.legendre.leggauss(12)
+# panel [a, b] has nodes a + h*t, h = (b - a)/2; its 37 are 25-point then 12-point
+_T25 = _X25 + 1.0
+_T37 = np.concatenate([_X25, _X12]) + 1.0
 
-@lru_cache(maxsize=16)
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
 
-
-def _gl_panel(f, a: float, b: float, n: int) -> float:
-    x, w = _gl_nodes(n)
-    h = 0.5 * (b - a)
-    y = f(a + h * (x + 1.0))
-    return h * float(np.dot(w, np.asarray(y, dtype=float)))
+def _drive(steps, f):
+    """Answer an integration generator's node requests with f; return its result."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(np.asarray(f(x), dtype=float))
+    except StopIteration as stop:
+        return stop.value
 
 
 # ---------------------------------------------------------------------------
@@ -145,40 +154,58 @@ def _gl_panel(f, a: float, b: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _EpsilonTable:
+    """Wynn's epsilon table over the newest ``depth`` partial sums, kept as
+    its newest antidiagonal (QUADPACK's qelg).  Entry eps[c][i] depends on
+    s[i..i+c] only: a table rebuilt from the newest ``depth`` sums ends alike."""
+
+    def __init__(self, depth: int = _EPSILON_WINDOW):
+        self.depth = depth
+        self.diag, self.prev = [], []  # eps[c] on the newest antidiagonal, the one before
+
+    def push(self, s):
+        """Append a partial sum."""
+        cur = float(s)
+        new = [cur]
+        below = 0.0  # eps[c - 2], with eps[-1] = 0
+        for above in self.diag[: self.depth - 1]:  # eps[c - 1] one sum back
+            d = cur - above
+            cur = below + 1e300 if d == 0.0 else below + 1.0 / d
+            new.append(cur)
+            below = above
+        self.prev, self.diag = self.diag, new
+
+    def estimate(self) -> tuple[float, float]:
+        """(best extrapolant, error estimate) from the newest antidiagonal."""
+        new, old = self.diag, self.prev
+        n = len(new)
+        if n == 1:
+            return new[0], math.inf
+        best, best_err = new[0], abs(new[0] - old[0])
+        last_even_tail = new[0]
+        for c in range(2, n, 2):
+            tail = new[c]
+            err = abs(tail - last_even_tail)
+            if c <= n - 2:  # column c holds at least two entries
+                back = abs(tail - old[c]) * 0.5
+                if back > err:
+                    err = back
+            if err < best_err and math.isfinite(tail):
+                best, best_err = tail, err
+            last_even_tail = tail
+        return best, best_err
+
+
 def epsilon_extrapolate(partial_sums) -> tuple[float, float]:
     """Accelerate a sequence of partial sums with Wynn's epsilon
     algorithm; returns (best extrapolant, error estimate)."""
     s = [float(v) for v in partial_sums]
-    n = len(s)
-    if n == 0:
+    if not s:
         raise ValueError("need at least one partial sum")
-    if n == 1:
-        return s[0], math.inf
-    best = s[-1]
-    best_err = abs(s[-1] - s[-2])
-    prev2 = [0.0] * (n + 1)
-    prev1 = list(s)
-    col = 0
-    last_even_tail = s[-1]
-    while len(prev1) > 1:
-        col += 1
-        cur = []
-        for i in range(len(prev1) - 1):
-            d = prev1[i + 1] - prev1[i]
-            if d == 0.0:
-                cur.append(prev2[i + 1] + 1e300)
-            else:
-                cur.append(prev2[i + 1] + 1.0 / d)
-        if col % 2 == 0:
-            tail = cur[-1]
-            err = abs(tail - last_even_tail)
-            if len(cur) >= 2:
-                err = max(err, abs(tail - cur[-2]) * 0.5)
-            if math.isfinite(tail) and err < best_err:
-                best, best_err = tail, err
-            last_even_tail = tail
-        prev2, prev1 = prev1, cur
-    return best, best_err
+    table = _EpsilonTable(len(s))
+    for v in s:
+        table.push(v)
+    return table.estimate()
 
 
 # ---------------------------------------------------------------------------
@@ -186,38 +213,41 @@ def epsilon_extrapolate(partial_sums) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-class _Counter:
-    __slots__ = ("f", "n")
+def _panel_sums(panels, sub):
+    """Request the 37 nodes of every panel at once; returns each panel's
+    (25-point, 12-point) sums.  ``sub`` = (scale, x_of, jac) substitutes
+    x = scale*x_of(t), whose integrand is f(x)*scale*jac(t)."""
+    hs = [0.5 * (b - a) for a, b in panels]
+    t = np.concatenate([a + h * _T37 for (a, _), h in zip(panels, hs)])
+    if sub is None:
+        y = yield t
+    else:
+        scale, x_of, jac = sub
+        y = (yield scale * x_of(t)) * scale * jac(t)
+    y = y.reshape(len(panels), 37)
+    return [
+        (h * float(np.dot(_W25, row[:25])), h * float(np.dot(_W12, row[25:])))
+        for h, row in zip(hs, y)
+    ]
 
-    def __init__(self, f):
-        self.f = f
-        self.n = 0
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        self.n += x.size
-        return self.f(x)
-
-
-def _adaptive(f, panels, tol, budget):
+def _adaptive(panels, tol, budget, sub=None):
     """Heap-driven bisection refinement over initial panel list.
 
-    Returns (value, raw error estimate, converged flag).
+    Returns (value, raw error estimate, converged flag, evaluations).
     """
     heap = []
     total = 0.0
     total_err = 0.0
     serial = 0
-    for a, b in panels:
-        i25 = _gl_panel(f, a, b, 25)
-        i12 = _gl_panel(f, a, b, 12)
+    for (a, b), (i25, i12) in zip(panels, (yield from _panel_sums(panels, sub))):
         e = abs(i25 - i12)
         total += i25
         total_err += e
         heapq.heappush(heap, (-e, serial, a, b, i25))
         serial += 1
     target = 0.35 * tol
-    while total_err > target and f.n < budget and heap:
+    while total_err > target and 37 * serial < budget and heap:
         nege, _, a, b, i25 = heapq.heappop(heap)
         e = -nege
         if e <= 0.0 or (b - a) < 1e-15 * (abs(a) + abs(b) + 1.0):
@@ -226,21 +256,54 @@ def _adaptive(f, panels, tol, budget):
         total -= i25
         total_err -= e
         m = 0.5 * (a + b)
-        for aa, bb in ((a, m), (m, b)):
-            i25n = _gl_panel(f, aa, bb, 25)
-            i12n = _gl_panel(f, aa, bb, 12)
+        halves = ((a, m), (m, b))
+        for (aa, bb), (i25n, i12n) in zip(halves, (yield from _panel_sums(halves, sub))):
             en = abs(i25n - i12n)
             total += i25n
             total_err += en
             heapq.heappush(heap, (-en, serial, aa, bb, i25n))
             serial += 1
-    return total, total_err, total_err <= tol
+    return total, total_err, total_err <= tol, 37 * serial
 
 
 def _geometric_points(lower, upper, depth=33):
     width = upper - lower
     pts = [lower] + [upper - width * 0.5**j for j in range(1, depth + 1)]
     return pts
+
+
+def finite_steps(seg: Interval, tol: float, budget: int = DEFAULT_BUDGET):
+    """``integrate_finite`` as a generator: it yields node arrays, is sent
+    the integrand's values there and returns the QuadResult."""
+    if not seg.is_finite:
+        raise ValueError("integrate_finite requires a finite segment")
+    lo, up = seg.lower, seg.upper
+    sub = None
+    if seg.singularity_hint == INVERSE_SQRT_AT_UPPER:
+        th0 = math.asin(min(1.0, lo / up)) if lo > 0.0 else 0.0
+        panels, sub = _quarters(th0, 0.5 * math.pi), (up, np.sin, np.cos)
+    elif seg.singularity_hint == INVERSE_SQRT_AT_LOWER:
+        if lo <= 0.0:
+            raise ValueError("inverse-sqrt-at-lower substitution needs lower > 0")
+        tmax = math.acosh(up / lo)
+        panels, sub = _quarters(0.0, tmax), (lo, np.cosh, np.sinh)
+    elif seg.singularity_hint == LOG_AT_UPPER:
+        pts = _geometric_points(lo, up)
+        panels = list(zip(pts[:-1], pts[1:]))
+    else:
+        panels = _quarters(lo, up)
+    value, raw, ok, evals = yield from _adaptive(panels, tol, budget, sub)
+    extra_err = 0.0
+    if seg.singularity_hint == LOG_AT_UPPER:
+        # truncation of the last geometric sliver, integrable log
+        delta = up - pts[-1]
+        tail_mag = abs(float(np.max(np.abs((yield np.asarray([pts[-1]]))))))
+        extra_err = 2.0 * delta * (tail_mag + 1.0)
+        evals += 1
+    abs_err = min(2.0 * raw + extra_err, 10.0 * tol) if ok else 2.0 * raw + extra_err
+    abs_err = max(abs_err, 1e-16 * (1.0 + abs(value)))
+    converged = ok and abs_err <= tol
+    return QuadResult(value, abs_err, evals, converged)
 
 
 def integrate_finite(f, seg: Interval, tol: float, budget: int = DEFAULT_BUDGET) -> QuadResult:
@@ -251,58 +314,12 @@ def integrate_finite(f, seg: Interval, tol: float, budget: int = DEFAULT_BUDGET)
     (lower) before refinement; logarithmic upper-endpoint singularities
     get geometric panel refinement toward the endpoint.
     """
-    if not seg.is_finite:
-        raise ValueError("integrate_finite requires a finite segment")
-    lo, up = seg.lower, seg.upper
-    g = _Counter(f)
-    extra_err = 0.0
-    if seg.singularity_hint == INVERSE_SQRT_AT_UPPER:
-        th0 = math.asin(min(1.0, lo / up)) if lo > 0.0 else 0.0
-
-        def h(theta):
-            return g(up * np.sin(theta)) * up * np.cos(theta)
-
-        hh = _Counter(h)
-        panels = _split([(th0, 0.5 * math.pi)], 4)
-        value, raw, ok = _adaptive(hh, panels, tol, budget)
-        evals = g.n
-    elif seg.singularity_hint == INVERSE_SQRT_AT_LOWER:
-        if lo <= 0.0:
-            raise ValueError("inverse-sqrt-at-lower substitution needs lower > 0")
-        tmax = math.acosh(up / lo)
-
-        def h(t):
-            return g(lo * np.cosh(t)) * lo * np.sinh(t)
-
-        hh = _Counter(h)
-        panels = _split([(0.0, tmax)], 4)
-        value, raw, ok = _adaptive(hh, panels, tol, budget)
-        evals = g.n
-    elif seg.singularity_hint == LOG_AT_UPPER:
-        pts = _geometric_points(lo, up)
-        panels = list(zip(pts[:-1], pts[1:]))
-        value, raw, ok = _adaptive(g, panels, tol, budget)
-        # truncation of the last geometric sliver, integrable log
-        delta = up - pts[-1]
-        tail_mag = abs(float(np.max(np.abs(g(np.asarray([pts[-1]]))))))
-        extra_err = 2.0 * delta * (tail_mag + 1.0)
-        evals = g.n
-    else:
-        panels = _split([(lo, up)], 4)
-        value, raw, ok = _adaptive(g, panels, tol, budget)
-        evals = g.n
-    abs_err = min(2.0 * raw + extra_err, 10.0 * tol) if ok else 2.0 * raw + extra_err
-    abs_err = max(abs_err, 1e-16 * (1.0 + abs(value)))
-    converged = ok and abs_err <= tol
-    return QuadResult(value, abs_err, evals, converged)
+    return _drive(finite_steps(seg, tol, budget), f)
 
 
-def _split(panels, k):
-    out = []
-    for a, b in panels:
-        edges = np.linspace(a, b, k + 1)
-        out.extend(zip(edges[:-1], edges[1:]))
-    return out
+def _quarters(a, b):
+    edges = np.linspace(a, b, 5)
+    return list(zip(edges[:-1], edges[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +369,9 @@ class _BreakStream:
             # drop near-coincident breaks (degenerate slivers)
             keep = [self.start]
             min_gap = 0.05 * math.pi / self.osc.frequency
-            for p in pts:
+            for p in pts.tolist():
                 if p - keep[-1] > min_gap:
-                    keep.append(float(p))
+                    keep.append(p)
             if len(keep) <= len(self._merged):
                 # force more kernel zeros and retry
                 self._grow_kernel()
@@ -364,7 +381,7 @@ class _BreakStream:
 
     def kernel_zeros_through(self, x: float) -> int:
         """Number of kernel zeros at or below a break point x."""
-        return int(np.searchsorted(self._kernel, x * (1.0 + 1e-12), side="right"))
+        return int(self._kernel.searchsorted(x * (1.0 + 1e-12), side="right"))
 
 
 def _period_fit(ts: np.ndarray, ss: np.ndarray) -> tuple[float, float]:
@@ -391,6 +408,86 @@ def _period_fit(ts: np.ndarray, ss: np.ndarray) -> tuple[float, float]:
     return a0, err
 
 
+def tail_steps(osc, lower, tol, head=None, lower_hint=None, max_lobes=220, budget=DEFAULT_BUDGET):
+    """``integrate_oscillatory_tail`` as a generator: it yields node arrays,
+    is sent the full integrand's values there and returns the QuadResult."""
+    if head is not None:
+        head_end = max(head, lower)
+    else:
+        head_end = lower + max(1.0, 10.0 / osc.frequency)
+    stream = _BreakStream(osc, lower)
+    # snap the head to the first break at/after head_end
+    i = 0
+    while stream.get(i) < head_end:
+        i += 1
+    head_end = stream.get(i)
+    first_lobe_index = i
+
+    if head_end > lower:
+        seg = Interval.segment(lower, head_end, lower_hint)
+        head_res = yield from finite_steps(seg, 0.25 * tol, budget)
+        head_val, head_err = head_res.value, head_res.abs_err
+        evals = head_res.evaluations
+    else:
+        head_val, head_err, evals = 0.0, 0.0, 0
+
+    table = _EpsilonTable()
+    # partial sums at every second lobe end that passes a kernel zero
+    period_t: list[float] = []
+    period_s: list[float] = []
+    zeros_passed = 0
+    crossings = 0
+    total = head_val
+    prev_est = None
+    best_val, best_raw = total, math.inf
+    lobe_mags = []
+    i = first_lobe_index
+    n_lobes = 0
+    while n_lobes < max_lobes and evals < budget:
+        a = stream.get(i)
+        b = stream.get(i + 1)
+        h = 0.5 * (b - a)
+        lobe = h * float(np.dot(_W25, (yield a + h * _T25)))
+        evals += 25
+        i += 1
+        n_lobes += 1
+        total += lobe
+        lobe_mags.append(abs(lobe))
+        # direct-summation exit for rapidly decaying integrands
+        if n_lobes >= 2 and lobe_mags[-1] < 0.02 * tol and lobe_mags[-2] < 0.02 * tol:
+            tail_bound = 3.0 * (lobe_mags[-1] + lobe_mags[-2])
+            abs_err = tail_bound + head_err
+            return QuadResult(total, max(abs_err, 1e-16), evals, abs_err <= tol)
+        table.push(total)
+        if n_lobes >= 6:
+            est, raw = table.estimate()
+            if math.isfinite(est) and raw < best_raw:
+                best_val, best_raw = est, raw
+            if prev_est is not None and math.isfinite(est):
+                drift = abs(est - prev_est)
+                if raw < 0.3 * tol and drift < 0.3 * tol:
+                    abs_err = 2.0 * max(raw, drift) + head_err
+                    abs_err = max(abs_err, 1e-16)
+                    return QuadResult(est, abs_err, evals, abs_err <= tol)
+            prev_est = est if math.isfinite(est) else prev_est
+        passed = stream.kernel_zeros_through(b)
+        if passed > zeros_passed:
+            zeros_passed = passed
+            crossings += 1
+            if crossings % 2 == 0:
+                period_t.append(b)
+                period_s.append(total)
+                if len(period_t) >= 18:
+                    est, raw = _period_fit(np.asarray(period_t), np.asarray(period_s))
+                    if raw < best_raw:
+                        best_val, best_raw = est, raw
+                    if raw < 0.3 * tol:
+                        abs_err = max(2.0 * raw + head_err, 1e-16)
+                        return QuadResult(est, abs_err, evals, abs_err <= tol)
+    abs_err = 2.0 * best_raw + head_err if math.isfinite(best_raw) else math.inf
+    return QuadResult(best_val, abs_err, evals, False)
+
+
 def integrate_oscillatory_tail(
     f_smooth,
     osc: OscillationSpec,
@@ -414,82 +511,8 @@ def integrate_oscillatory_tail(
     tolerance gives the result.  Integrands whose lobes decay below the
     tolerance terminate by direct summation with a tail bound instead.
     """
-    g = _Counter(lambda t: np.asarray(f_smooth(t), dtype=float) * osc.kernel(t))
-
-    if head is not None:
-        head_end = max(head, lower)
-    else:
-        head_end = lower + max(1.0, 10.0 / osc.frequency)
-    stream = _BreakStream(osc, lower)
-    # snap the head to the first break at/after head_end
-    i = 0
-    while stream.get(i) < head_end:
-        i += 1
-    head_end = stream.get(i)
-    first_lobe_index = i
-
-    if head_end > lower:
-        hint = lower_hint
-        seg = Interval.segment(lower, head_end, hint)
-        head_res = integrate_finite(g.f, seg, 0.25 * tol, budget)
-        head_val, head_err = head_res.value, head_res.abs_err
-        evals = head_res.evaluations
-    else:
-        head_val, head_err, evals = 0.0, 0.0, 0
-
-    sums = []
-    # partial sums at every second lobe end that passes a kernel zero
-    period_t: list[float] = []
-    period_s: list[float] = []
-    zeros_passed = 0
-    crossings = 0
-    total = head_val
-    prev_est = None
-    best_val, best_raw = total, math.inf
-    lobe_mags = []
-    i = first_lobe_index
-    n_lobes = 0
-    while n_lobes < max_lobes and g.n + evals < budget:
-        a = stream.get(i)
-        b = stream.get(i + 1)
-        lobe = _gl_panel(g, a, b, 25)
-        i += 1
-        n_lobes += 1
-        total += lobe
-        sums.append(total)
-        lobe_mags.append(abs(lobe))
-        # direct-summation exit for rapidly decaying integrands
-        if n_lobes >= 2 and lobe_mags[-1] < 0.02 * tol and lobe_mags[-2] < 0.02 * tol:
-            tail_bound = 3.0 * (lobe_mags[-1] + lobe_mags[-2])
-            abs_err = tail_bound + head_err
-            return QuadResult(total, max(abs_err, 1e-16), g.n + evals, abs_err <= tol)
-        if n_lobes >= 6:
-            est, raw = epsilon_extrapolate(sums[-_EPSILON_WINDOW:])
-            if math.isfinite(est) and raw < best_raw:
-                best_val, best_raw = est, raw
-            if prev_est is not None and math.isfinite(est):
-                drift = abs(est - prev_est)
-                if raw < 0.3 * tol and drift < 0.3 * tol:
-                    abs_err = 2.0 * max(raw, drift) + head_err
-                    abs_err = max(abs_err, 1e-16)
-                    return QuadResult(est, abs_err, g.n + evals, abs_err <= tol)
-            prev_est = est if math.isfinite(est) else prev_est
-        passed = stream.kernel_zeros_through(b)
-        if passed > zeros_passed:
-            zeros_passed = passed
-            crossings += 1
-            if crossings % 2 == 0:
-                period_t.append(b)
-                period_s.append(total)
-                if len(period_t) >= 18:
-                    est, raw = _period_fit(np.asarray(period_t), np.asarray(period_s))
-                    if raw < best_raw:
-                        best_val, best_raw = est, raw
-                    if raw < 0.3 * tol:
-                        abs_err = max(2.0 * raw + head_err, 1e-16)
-                        return QuadResult(est, abs_err, g.n + evals, abs_err <= tol)
-    abs_err = 2.0 * best_raw + head_err if math.isfinite(best_raw) else math.inf
-    return QuadResult(best_val, abs_err, g.n + evals, False)
+    steps = tail_steps(osc, lower, tol, head, lower_hint, max_lobes, budget)
+    return _drive(steps, lambda t: np.asarray(f_smooth(t), dtype=float) * osc.kernel(t))
 
 
 def integrate_entry(
@@ -509,20 +532,12 @@ def integrate_entry(
     sums.
     """
     if iv.is_finite:
-        if osc is None:
-            full = f
-        else:
-            full = lambda t: np.asarray(f(t), dtype=float) * osc.kernel(t)
-        return integrate_finite(full, iv, tol, budget)
-    if osc is None:
+        steps = finite_steps(iv, tol, budget)
+    elif osc is None:
         raise ValueError("an infinite interval needs an oscillation spec")
-    return integrate_oscillatory_tail(
-        f,
-        osc,
-        iv.lower if iv.kind == TAIL else 0.0,
-        tol,
-        head=head,
-        lower_hint=iv.singularity_hint,
-        budget=budget,
-        max_lobes=max_lobes,
-    )
+    else:
+        lower = iv.lower if iv.kind == TAIL else 0.0
+        steps = tail_steps(osc, lower, tol, head, iv.singularity_hint, max_lobes, budget)
+    if osc is None:
+        return _drive(steps, f)
+    return _drive(steps, lambda t: np.asarray(f(t), dtype=float) * osc.kernel(t))

@@ -154,6 +154,37 @@ def test_json_config_roundtrip(tmp_path):
     assert [r["seed_id"] for r in report["failure_rows"]] == ["S6514_1"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--entry", "T01", "--out", "{tmp}/missing/x.json"],
+        ["verify", "--entry", "T01", "--out", "{tmp}"],
+        ["list", "--out", "{tmp}/missing/y.json"],
+    ],
+    ids=["verify-missing-dir", "verify-out-is-dir", "list-missing-dir"],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("hankel-dual: error: cannot write output")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"entries": [{"name": "x"}]}, {"entries": 5}],
+    ids=["entry-without-id", "entries-not-a-list"],
+)
+def test_malformed_json_config_is_usage_error(tmp_path, capsys, doc):
+    cfg = tmp_path / "sel.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("hankel-dual: error: bad JSON config")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_check_single_seed():
     proc = run_cli("check", "--seed", "S6512_1a")
     assert proc.returncode == cli.EXIT_OK

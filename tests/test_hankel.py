@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from hankel_dual import quad
 from hankel_dual.errors import AdmissibilityError, InconclusiveConditionError
 from hankel_dual.hankel import (
     SeedFunction,
+    _forward_lockstep,
     check_condition,
     dual_roundtrip,
     hankel_forward,
@@ -136,6 +138,26 @@ def test_roundtrip_truncated_power_off_grid(r):
     assert resid <= 1e-6, (r, resid)
 
 
+ACCEPTANCE_SEEDS = SMOOTH_SEEDS + [(indicator_seed(), 0.0)]
+
+
+@pytest.mark.parametrize("F,nu", ACCEPTANCE_SEEDS, ids=[s.name for s, _ in ACCEPTANCE_SEEDS])
+def test_lockstep_forward_equals_one_transform_at_a_time(F, nu):
+    # the round trip's batch of forward transforms must not move one bit
+    # of any of them: each row equals hankel_forward at its b alone and
+    # the single-integrand integrate_entry path
+    bs = np.geomspace(1e-3, 300.0, 97).tolist()
+    tol = 1e-10
+    batch = _forward_lockstep(F, nu, bs, tol)
+    iv = (quad.Interval.finite_from_zero(F.support_upper) if F.support_upper is not None
+          else quad.Interval.full_half_line())
+    for b, res in zip(bs, batch):
+        alone = hankel_forward(F, nu, b, tol, assume_admissible=True)
+        plain = quad.integrate_entry(lambda x: x * F(x), iv, quad.OscillationSpec(nu, b), tol)
+        fields = [(r.value, r.abs_err, r.evaluations, r.converged) for r in (res, alone, plain)]
+        assert fields[0] == fields[1] == fields[2], (F.name, b, fields)
+
+
 def test_scale_covariance():
     # F_s(x) = F(s x)  =>  G_s(b) = s^{-2} G(b/s)
     F = gaussian_seed()
@@ -211,6 +233,27 @@ def test_condition_borderline_raises_inconclusive():
     with pytest.raises(InconclusiveConditionError) as exc:
         check_condition(SeedFunction(lambda x: x**-1.5))
     assert abs(exc.value.exponent + 1.5) <= 0.05
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        SeedFunction(lambda x: np.where(x < 1e3, 1.0, np.inf), name="inf beyond 1e3"),
+        SeedFunction(lambda x: sp.iv(0.5, x) * x**-3.0, name="I_1/2 overflow"),
+    ],
+    ids=lambda F: F.name,
+)
+def test_condition_overflow_is_inconclusive_not_decay(F):
+    with pytest.raises(InconclusiveConditionError) as exc:
+        check_condition(F)
+    assert exc.value.endpoint == "Infinity"
+
+
+def test_condition_underflow_still_reads_as_decay():
+    # exp(-x) underflows to 0 on [1e4, 1e6]: finite, so still decay
+    v = check_condition(SeedFunction(lambda x: np.exp(-x)))
+    assert v.admissible
+    assert v.inf_exponent == -math.inf
 
 
 def test_compact_support_skips_infinity_estimate():

@@ -7,6 +7,7 @@ import pytest
 import scipy.special as sp
 
 from hankel_dual.quad import (
+    _EPSILON_WINDOW,
     FULL_HALF_LINE,
     INVERSE_SQRT_AT_LOWER,
     INVERSE_SQRT_AT_UPPER,
@@ -17,6 +18,7 @@ from hankel_dual.quad import (
     integrate_entry,
     integrate_finite,
     integrate_oscillatory_tail,
+    _EpsilonTable,
 )
 
 
@@ -38,6 +40,82 @@ def test_epsilon_degenerate_inputs():
     # a constant sequence is its own limit
     est, err = epsilon_extrapolate([2.0] * 8)
     assert est == 2.0
+
+
+def _windowed_epsilon_oracle(partial_sums):
+    """The epsilon table rebuilt from scratch on every call: the reference
+    the incremental table must reproduce bit for bit."""
+    s = [float(v) for v in partial_sums]
+    n = len(s)
+    if n == 0:
+        raise ValueError("need at least one partial sum")
+    if n == 1:
+        return s[0], math.inf
+    best = s[-1]
+    best_err = abs(s[-1] - s[-2])
+    prev2 = [0.0] * (n + 1)
+    prev1 = list(s)
+    col = 0
+    last_even_tail = s[-1]
+    while len(prev1) > 1:
+        col += 1
+        cur = []
+        for i in range(len(prev1) - 1):
+            d = prev1[i + 1] - prev1[i]
+            if d == 0.0:
+                cur.append(prev2[i + 1] + 1e300)
+            else:
+                cur.append(prev2[i + 1] + 1.0 / d)
+        if col % 2 == 0:
+            tail = cur[-1]
+            err = abs(tail - last_even_tail)
+            if len(cur) >= 2:
+                err = max(err, abs(tail - cur[-2]) * 0.5)
+            if math.isfinite(tail) and err < best_err:
+                best, best_err = tail, err
+            last_even_tail = tail
+        prev2, prev1 = prev1, cur
+    return best, best_err
+
+
+def _partial_sums(terms):
+    return list(np.cumsum(terms))
+
+
+_EPSILON_SEQUENCES = {
+    "alternating": _partial_sums([(-1.0) ** k / (k + 1) for k in range(120)]),
+    "monotone": _partial_sums([1.0 / (k + 1) ** 2 for k in range(120)]),
+    # zero terms make exact repeats, the table's d == 0 branch
+    "repeats": _partial_sums([0.0 if k % 3 == 1 else (-0.7) ** k for k in range(120)]),
+    "constant_tail": _partial_sums([2.0 ** -k if k < 30 else 0.0 for k in range(120)]),
+    "lobes": _partial_sums(
+        [math.cos(3.1 * k) * (k + 1.0) ** -1.5 for k in range(120)]
+    ),
+}
+
+
+def _bits(pair):
+    return tuple(float(v).hex() for v in pair)
+
+
+@pytest.mark.parametrize("name", sorted(_EPSILON_SEQUENCES))
+def test_epsilon_table_matches_windowed_rebuild(name):
+    sums = _EPSILON_SEQUENCES[name]
+    table = _EpsilonTable()
+    for n in range(1, len(sums) + 1):
+        table.push(sums[n - 1])
+        got = table.estimate()
+        want = _windowed_epsilon_oracle(sums[max(0, n - _EPSILON_WINDOW):n])
+        assert _bits(got) == _bits(want), (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(_EPSILON_SEQUENCES))
+def test_epsilon_extrapolate_matches_full_rebuild(name):
+    sums = _EPSILON_SEQUENCES[name]
+    for n in list(range(1, 12)) + list(range(12, len(sums) + 1, 9)):
+        assert _bits(epsilon_extrapolate(sums[:n])) == _bits(
+            _windowed_epsilon_oracle(sums[:n])
+        ), (name, n)
 
 
 def test_interval_validation():

@@ -53,12 +53,16 @@ def test_verify_failure_rows():
 
 
 def test_parallel_matches_serial():
-    entries = [catalog.entry_by_id(i) for i in ("T02a", "T03", "T04", "T21")]
-    failures = [catalog.failure_by_id("S6512_1a"), catalog.failure_by_id("S6514_1")]
-    serial = verify.run_all(entries, failures, jobs=1)
-    parallel = verify.run_all(entries, failures, jobs=4)
+    # the whole catalog and failure corpus: the threads share quad and the
+    # Bessel-zero tables, and no row may depend on which thread ran it
+    serial = verify.run_all(jobs=1)
+    parallel = verify.run_all(jobs=4)
     assert serial.rows == parallel.rows
     assert serial.failure_rows == parallel.failure_rows
+    untimed = [json.loads(r.to_json()) for r in (serial, parallel)]
+    for doc in untimed:
+        del doc["wall_seconds"]
+    assert untimed[0] == untimed[1]
 
 
 def test_rows_in_catalog_document_order():
