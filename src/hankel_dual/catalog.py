@@ -1548,7 +1548,7 @@ def _build_failures() -> list:
         "Infinity",
         lambda x: (
             math.sqrt(math.pi) * np.sqrt(x) / math.sqrt(8.0)
-            * _sp.iv(0.5, x) * _sp.kv(0.5, x)
+            * _sp.ive(0.5, x) * _sp.kve(0.5, x)
         ),
         0.5, -0.5,
     )

@@ -85,7 +85,7 @@ def _read_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}")
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -6,12 +6,13 @@ int_0^inf sqrt(x) |F(x)| dx < inf, which translates into envelope
 power-law exponents: the amplitude of F must grow slower than x^{-3/2}
 at zero and decay faster than x^{-3/2} at infinity.
 
-Both transforms run ``quad``'s integration rules.  A compact seed's
-forward transform is integrated over [0, support_upper], every other
-one and every inverse through the oscillatory tail integrator on
-[0, inf), which picks its own extrapolation: no caller tells it where
-F jumps.  The forward transforms at all u of one inverse node request
-run in lockstep, sharing one F call and one J_nu call per step.
+Both transforms run ``quad``'s one integration path (``quad.steps``
+and ``quad.drive``).  A compact seed's forward transform is integrated
+over [0, support_upper], every other one and every inverse over
+[0, inf) by the oscillatory rule, which picks its own extrapolation: no
+caller tells it where F jumps.  The forward transforms at all u of one
+inverse node request run in lockstep, one generator per u, sharing one
+F call and one J_nu call per step.
 """
 
 from __future__ import annotations
@@ -147,51 +148,33 @@ def _require_admissible(F: SeedFunction):
     return verdict
 
 
-def _forward_lockstep(F: SeedFunction, nu: float, bs, tol: float) -> list[QuadResult]:
+def _forwards(F: SeedFunction, nu: float, bs, tol: float) -> list[QuadResult]:
     """G(b) at every b in bs, one integration generator per b.  Each step
     answers every live generator's request from one F call and one J_nu
     call, so each b gets exactly the result it would get on its own."""
-    if F.support_upper is not None:
-        seg = Interval.finite_from_zero(F.support_upper)
-        live = [(k, b, quad.finite_steps(seg, tol)) for k, b in enumerate(bs)]
-    else:
-        live = [(k, b, quad.tail_steps(OscillationSpec(nu, b), 0.0, tol)) for k, b in enumerate(bs)]
-    results, values = [None] * len(bs), [None] * len(bs)
-    while live:
-        requests, still = [], []
-        for (k, b, steps), y in zip(live, values):
-            try:
-                requests.append(steps.send(y))
-                still.append((k, b, steps))
-            except StopIteration as stop:
-                results[k] = stop.value
-        live = still
-        if live:
-            sizes = [x.size for x in requests]
-            X = np.concatenate(requests)
-            Y = X * F(X) * sp.jv(nu, np.repeat([b for _, b, _ in live], sizes) * X)
-            ends = np.cumsum(sizes).tolist()
-            values = [Y[end - n:end] for end, n in zip(ends, sizes)]
-    return results
+    iv = (Interval.full_half_line() if F.support_upper is None
+          else Interval.finite_from_zero(F.support_upper))
+
+    def values(live, requests):
+        sizes = [x.size for x in requests]
+        X = np.concatenate(requests)
+        Y = X * F(X) * sp.jv(nu, np.repeat([bs[k] for k in live], sizes) * X)
+        ends = np.cumsum(sizes).tolist()
+        return [Y[end - n:end] for end, n in zip(ends, sizes)]
+
+    return quad.drive([quad.steps(iv, OscillationSpec(nu, b), tol) for b in bs], values)
 
 
-def hankel_forward(
-    F: SeedFunction,
-    nu: float,
-    b: float,
-    tol: float = 1e-9,
-    assume_admissible: bool = False,
-) -> QuadResult:
+def hankel_forward(F: SeedFunction, nu: float, b: float, tol: float = 1e-9) -> QuadResult:
     """G(b) = int_0^inf x F(x) J_nu(b x) dx.
 
     A compact seed is integrated over [0, support_upper]; every other
-    seed goes through the oscillatory tail integrator.
+    seed goes through the oscillatory rule.
     """
-    if b <= 0.0:
-        raise ValueError("transform argument b must be > 0")
-    if not assume_admissible:
-        _require_admissible(F)
-    return _forward_lockstep(F, nu, [b], tol)[0]
+    if not (0.0 < b < math.inf):
+        raise ValueError("transform argument b must be finite and > 0")
+    _require_admissible(F)
+    return _forwards(F, nu, [b], tol)[0]
 
 
 def hankel_inverse(
@@ -201,8 +184,8 @@ def hankel_inverse(
     tol: float = 1e-9,
 ) -> QuadResult:
     """int_0^inf u G(u) J_nu(u r) du."""
-    if r <= 0.0:
-        raise ValueError("transform argument r must be > 0")
+    if not (0.0 < r < math.inf):
+        raise ValueError("transform argument r must be finite and > 0")
     return quad.integrate_entry(
         lambda u: u * np.asarray(G(u), dtype=float),
         Interval.full_half_line(),
@@ -229,7 +212,7 @@ def dual_roundtrip(
 
     def G(us):
         bs = np.atleast_1d(np.asarray(us, dtype=float)).tolist()
-        return np.asarray([res.value for res in _forward_lockstep(F, nu, bs, inner_tol)])
+        return np.asarray([res.value for res in _forwards(F, nu, bs, inner_tol)])
 
     out = []
     for r in r_grid:

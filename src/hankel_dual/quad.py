@@ -1,18 +1,20 @@
 """Quadrature engine.
 
-Two workhorses: an adaptive Gauss-Legendre bisection rule for finite
+Two rules: an adaptive Gauss-Legendre bisection rule for finite
 segments (with mandatory endpoint substitutions for declared
 inverse-square-root singularities and geometric refinement for
-logarithmic ones), and a semi-infinite oscillatory integrator that
-partitions the axis at Bessel-kernel zeros and extrapolates the lobe
-sums.  It runs Wynn's epsilon algorithm, for sums that alternate, and a
-constant-phase fit in inverse powers of the truncation point, for sums
-that do not, side by side; the first to converge gives the result.
+logarithmic ones), and a semi-infinite oscillatory rule that partitions
+the axis at Bessel-kernel zeros and extrapolates the lobe sums.  It runs
+Wynn's epsilon algorithm, for sums that alternate, and a constant-phase
+fit in inverse powers of the truncation point, for sums that do not,
+side by side; the first to converge gives the result.
 
-Both rules are generators (``finite_steps``, ``tail_steps``) that yield
-the nodes where they need the full integrand and are sent its values;
-``_drive`` answers them from one integrand, and ``hankel`` answers many
-forward transforms' requests with one evaluation.
+Both rules are generators that yield the nodes where they need the full
+integrand and are sent its values there.  ``steps`` is the one place
+that picks a rule for an interval, and ``drive`` runs any number of
+such generators in lockstep: ``integrate_entry`` drives one, and
+``hankel`` drives one per transform argument and answers all of them
+with one evaluation per step.
 """
 
 from __future__ import annotations
@@ -32,21 +34,14 @@ __all__ = [
     "QuadResult",
     "OscillationSpec",
     "epsilon_extrapolate",
-    "integrate_finite",
-    "integrate_oscillatory_tail",
+    "steps",
+    "drive",
     "integrate_entry",
-    "finite_steps",
-    "tail_steps",
 ]
 
 DEFAULT_BUDGET = 2_000_000
 # lobes of partial sums that one Wynn epsilon table spans
 _EPSILON_WINDOW = 40
-
-FINITE_FROM_ZERO = "finite_from_zero"
-TAIL = "tail"
-FULL_HALF_LINE = "full_half_line"
-FINITE_SEGMENT = "finite_segment"
 
 INVERSE_SQRT_AT_UPPER = "inverse_sqrt_at_upper"
 INVERSE_SQRT_AT_LOWER = "inverse_sqrt_at_lower"
@@ -57,9 +52,9 @@ _HINTS = {None, INVERSE_SQRT_AT_UPPER, INVERSE_SQRT_AT_LOWER, LOG_AT_UPPER}
 
 @dataclass(frozen=True)
 class Interval:
-    """Integration range with an optional declared endpoint singularity."""
+    """Integration range [lower, upper] with an optional declared endpoint
+    singularity; it is a finite segment exactly when ``upper`` is finite."""
 
-    kind: str
     lower: float = 0.0
     upper: float = math.inf
     singularity_hint: Optional[str] = None
@@ -67,31 +62,32 @@ class Interval:
     def __post_init__(self):
         if self.singularity_hint not in _HINTS:
             raise ValueError(f"unknown singularity hint {self.singularity_hint!r}")
-        if self.kind in (FINITE_FROM_ZERO, FINITE_SEGMENT):
-            if not (math.isfinite(self.upper) and self.upper > self.lower):
-                raise ValueError("finite interval requires upper > lower")
         if self.lower < 0.0:
             raise ValueError("lower bound must be >= 0")
+        if not (self.upper > self.lower):
+            raise ValueError("interval requires lower < upper")
 
     @classmethod
     def finite_from_zero(cls, upper, hint=None):
-        return cls(FINITE_FROM_ZERO, 0.0, float(upper), hint)
+        return cls.segment(0.0, upper, hint)
 
     @classmethod
     def tail(cls, lower, hint=None):
-        return cls(TAIL, float(lower), math.inf, hint)
+        return cls(float(lower), math.inf, hint)
 
     @classmethod
     def full_half_line(cls):
-        return cls(FULL_HALF_LINE, 0.0, math.inf, None)
+        return cls.tail(0.0)
 
     @classmethod
     def segment(cls, lower, upper, hint=None):
-        return cls(FINITE_SEGMENT, float(lower), float(upper), hint)
+        if not math.isfinite(upper):
+            raise ValueError("a finite segment requires a finite upper bound")
+        return cls(float(lower), float(upper), hint)
 
     @property
     def is_finite(self) -> bool:
-        return self.kind in (FINITE_FROM_ZERO, FINITE_SEGMENT)
+        return self.upper < math.inf
 
 
 @dataclass(frozen=True)
@@ -108,6 +104,7 @@ class OscillationSpec:
     linear argument, plus optional additional break points contributed
     by a second oscillatory factor (e.g. a Bessel factor with a
     square-root argument, whose zeros must also partition the axis).
+    ``extra_breaks(m)`` returns the first m of those points, increasing.
     """
 
     bessel_order: float
@@ -118,8 +115,8 @@ class OscillationSpec:
     )
 
     def __post_init__(self):
-        if not (self.frequency > 0.0):
-            raise ValueError("frequency must be > 0")
+        if not (0.0 < self.frequency < math.inf):
+            raise ValueError("frequency must be finite and > 0")
         if self.kind not in ("j", "y"):
             raise ValueError("kernel kind must be 'j' or 'y'")
 
@@ -139,14 +136,28 @@ _T25 = _X25 + 1.0
 _T37 = np.concatenate([_X25, _X12]) + 1.0
 
 
-def _drive(steps, f):
-    """Answer an integration generator's node requests with f; return its result."""
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(np.asarray(f(x), dtype=float))
-    except StopIteration as stop:
-        return stop.value
+def drive(gens, f) -> list:
+    """Run integration generators in lockstep; return their results in order.
+
+    Each step sends every live generator the values at its last request
+    and collects its next request.  ``f(live, requests)`` answers the
+    requests of the generators at indices ``live``, one value array per
+    request, so a caller can evaluate them all at once.
+    """
+    results = [None] * len(gens)
+    live, values = range(len(gens)), [None] * len(gens)
+    while live:
+        still, requests = [], []
+        for k, y in zip(live, values):
+            try:
+                requests.append(gens[k].send(y))
+                still.append(k)
+            except StopIteration as stop:
+                results[k] = stop.value
+        live = still
+        if live:
+            values = f(live, requests)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +277,14 @@ def _adaptive(panels, tol, budget, sub=None):
     return total, total_err, total_err <= tol, 37 * serial
 
 
-def _geometric_points(lower, upper, depth=33):
-    width = upper - lower
-    pts = [lower] + [upper - width * 0.5**j for j in range(1, depth + 1)]
-    return pts
+def _finite_steps(seg: Interval, tol: float, budget: int):
+    """Adaptive rule over a finite segment.
 
-
-def finite_steps(seg: Interval, tol: float, budget: int = DEFAULT_BUDGET):
-    """``integrate_finite`` as a generator: it yields node arrays, is sent
-    the integrand's values there and returns the QuadResult."""
-    if not seg.is_finite:
-        raise ValueError("integrate_finite requires a finite segment")
+    Declared inverse-square-root endpoint singularities are removed by
+    the substitutions x = U sin(theta) (upper) and x = L cosh(t)
+    (lower) before refinement; logarithmic upper-endpoint singularities
+    get geometric panel refinement toward the endpoint.
+    """
     lo, up = seg.lower, seg.upper
     sub = None
     if seg.singularity_hint == INVERSE_SQRT_AT_UPPER:
@@ -288,7 +296,7 @@ def finite_steps(seg: Interval, tol: float, budget: int = DEFAULT_BUDGET):
         tmax = math.acosh(up / lo)
         panels, sub = _quarters(0.0, tmax), (lo, np.cosh, np.sinh)
     elif seg.singularity_hint == LOG_AT_UPPER:
-        pts = _geometric_points(lo, up)
+        pts = [lo] + [up - (up - lo) * 0.5**j for j in range(1, 34)]  # geometric toward up
         panels = list(zip(pts[:-1], pts[1:]))
     else:
         panels = _quarters(lo, up)
@@ -306,17 +314,6 @@ def finite_steps(seg: Interval, tol: float, budget: int = DEFAULT_BUDGET):
     return QuadResult(value, abs_err, evals, converged)
 
 
-def integrate_finite(f, seg: Interval, tol: float, budget: int = DEFAULT_BUDGET) -> QuadResult:
-    """Adaptive quadrature over a finite segment.
-
-    Declared inverse-square-root endpoint singularities are removed by
-    the substitutions x = U sin(theta) (upper) and x = L cosh(t)
-    (lower) before refinement; logarithmic upper-endpoint singularities
-    get geometric panel refinement toward the endpoint.
-    """
-    return _drive(finite_steps(seg, tol, budget), f)
-
-
 def _quarters(a, b):
     edges = np.linspace(a, b, 5)
     return list(zip(edges[:-1], edges[1:]))
@@ -332,50 +329,31 @@ class _BreakStream:
 
     def __init__(self, osc: OscillationSpec, start: float):
         self.osc = osc
-        self.start = start
-        self._nk = 0
-        self._nx = 0
+        self._n = 0
         self._kernel = np.empty(0)
-        self._extra = np.empty(0)
         self._merged = [start]
 
-    def _grow_kernel(self):
-        self._nk += 96
-        z = bessel_zeros(self.osc.bessel_order, self._nk, self.osc.kind)
-        self._kernel = z / self.osc.frequency
-
-    def _grow_extra(self):
-        if self.osc.extra_breaks is None:
-            return
-        self._nx += 96
-        self._extra = np.asarray(self.osc.extra_breaks(self._nx), dtype=float)
-
     def get(self, i: int) -> float:
-        """i-th break point at or beyond start (0-th is start itself)."""
+        """i-th break point at or beyond start (0-th is start itself).
+
+        Each growth step computes 96 more kernel zeros and 96 more extra
+        breaks and lists the merged points only up to the smaller of the
+        two sequences' last computed points, where neither has a gap, and
+        drops any point within 0.05 pi / frequency of the one before.
+        """
+        osc = self.osc
         while len(self._merged) <= i:
-            need_hi = self._merged[-1] + 1.0
-            while self._kernel.size == 0 or self._kernel[-1] < need_hi + 1.0:
-                self._grow_kernel()
-            if self.osc.extra_breaks is not None:
-                while self._extra.size == 0 or (
-                    self._extra[-1] < need_hi + 1.0 and self._nx < 4096
-                ):
-                    old = self._extra.size
-                    self._grow_extra()
-                    if self._extra.size == old:
-                        break
-            pts = np.concatenate([self._kernel, self._extra])
-            pts = np.sort(pts[pts > self.start * (1.0 + 1e-12)])
-            # drop near-coincident breaks (degenerate slivers)
-            keep = [self.start]
-            min_gap = 0.05 * math.pi / self.osc.frequency
-            for p in pts.tolist():
+            self._n += 96
+            self._kernel = bessel_zeros(osc.bessel_order, self._n, osc.kind) / osc.frequency
+            pts, end = self._kernel, self._kernel[-1]
+            if osc.extra_breaks is not None:
+                extra = np.asarray(osc.extra_breaks(self._n), dtype=float)
+                pts, end = np.concatenate([pts, extra]), min(end, extra[-1])
+            keep = self._merged[:1]
+            min_gap = 0.05 * math.pi / osc.frequency
+            for p in np.sort(pts[pts <= end]).tolist():
                 if p - keep[-1] > min_gap:
                     keep.append(p)
-            if len(keep) <= len(self._merged):
-                # force more kernel zeros and retry
-                self._grow_kernel()
-                continue
             self._merged = keep
         return self._merged[i]
 
@@ -408,24 +386,34 @@ def _period_fit(ts: np.ndarray, ss: np.ndarray) -> tuple[float, float]:
     return a0, err
 
 
-def tail_steps(osc, lower, tol, head=None, lower_hint=None, max_lobes=220, budget=DEFAULT_BUDGET):
-    """``integrate_oscillatory_tail`` as a generator: it yields node arrays,
-    is sent the full integrand's values there and returns the QuadResult."""
-    if head is not None:
-        head_end = max(head, lower)
-    else:
-        head_end = lower + max(1.0, 10.0 / osc.frequency)
+def _tail_steps(osc: OscillationSpec, iv: Interval, tol, head, max_lobes, budget):
+    """Oscillatory rule for f(t) * C_nu(frequency*t) over [iv.lower, inf).
+
+    The axis is partitioned at the scaled kernel zeros (united with any
+    extra break sequence declared on the oscillation spec) and each lobe
+    is integrated with a fixed Gauss-Legendre rule; the head up to the
+    first break at or past ``head`` goes through the finite rule.  Two
+    extrapolators run side by side on the partial sums: Wynn's epsilon
+    algorithm over a sliding window of lobes, for sums that alternate,
+    and a constant-phase fit (``_period_fit``) of the sums at every
+    second kernel zero, for sums that do not (a product of two Bessel
+    functions of the same frequency).  The first whose error estimate
+    meets the tolerance gives the result.  Integrands whose lobes decay
+    below the tolerance terminate by direct summation with a tail bound
+    instead.
+    """
+    lower = iv.lower
+    head_end = max(head, lower) if head is not None else lower + max(1.0, 10.0 / osc.frequency)
     stream = _BreakStream(osc, lower)
     # snap the head to the first break at/after head_end
     i = 0
     while stream.get(i) < head_end:
         i += 1
     head_end = stream.get(i)
-    first_lobe_index = i
 
     if head_end > lower:
-        seg = Interval.segment(lower, head_end, lower_hint)
-        head_res = yield from finite_steps(seg, 0.25 * tol, budget)
+        seg = Interval.segment(lower, head_end, iv.singularity_hint)
+        head_res = yield from _finite_steps(seg, 0.25 * tol, budget)
         head_val, head_err = head_res.value, head_res.abs_err
         evals = head_res.evaluations
     else:
@@ -441,7 +429,6 @@ def tail_steps(osc, lower, tol, head=None, lower_hint=None, max_lobes=220, budge
     prev_est = None
     best_val, best_raw = total, math.inf
     lobe_mags = []
-    i = first_lobe_index
     n_lobes = 0
     while n_lobes < max_lobes and evals < budget:
         a = stream.get(i)
@@ -466,8 +453,7 @@ def tail_steps(osc, lower, tol, head=None, lower_hint=None, max_lobes=220, budge
             if prev_est is not None and math.isfinite(est):
                 drift = abs(est - prev_est)
                 if raw < 0.3 * tol and drift < 0.3 * tol:
-                    abs_err = 2.0 * max(raw, drift) + head_err
-                    abs_err = max(abs_err, 1e-16)
+                    abs_err = max(2.0 * max(raw, drift) + head_err, 1e-16)
                     return QuadResult(est, abs_err, evals, abs_err <= tol)
             prev_est = est if math.isfinite(est) else prev_est
         passed = stream.kernel_zeros_through(b)
@@ -488,31 +474,23 @@ def tail_steps(osc, lower, tol, head=None, lower_hint=None, max_lobes=220, budge
     return QuadResult(best_val, abs_err, evals, False)
 
 
-def integrate_oscillatory_tail(
-    f_smooth,
-    osc: OscillationSpec,
-    lower: float,
+def steps(
+    iv: Interval,
+    osc: Optional[OscillationSpec],
     tol: float,
     head: Optional[float] = None,
-    lower_hint: Optional[str] = None,
-    max_lobes: int = 220,
     budget: int = DEFAULT_BUDGET,
-) -> QuadResult:
-    """Integrate f_smooth(t) * C_nu(frequency*t) over [lower, inf).
-
-    The axis is partitioned at the scaled kernel zeros (united with any
-    extra break sequence declared on the oscillation spec) and each lobe
-    is integrated with a fixed Gauss-Legendre rule.  Two extrapolators
-    run side by side on the partial sums: Wynn's epsilon algorithm over
-    a sliding window of lobes, for sums that alternate, and a
-    constant-phase fit (``_period_fit``) of the sums at every second
-    kernel zero, for sums that do not (a product of two Bessel functions
-    of the same frequency).  The first whose error estimate meets the
-    tolerance gives the result.  Integrands whose lobes decay below the
-    tolerance terminate by direct summation with a tail bound instead.
-    """
-    steps = tail_steps(osc, lower, tol, head, lower_hint, max_lobes, budget)
-    return _drive(steps, lambda t: np.asarray(f_smooth(t), dtype=float) * osc.kernel(t))
+    max_lobes: int = 220,
+):
+    """The integration generator for ``iv``: the finite rule on a finite
+    segment, the oscillatory rule on an infinite one, whose lobes need
+    the kernel ``osc``.  It yields node arrays, is sent the integrand's
+    values there and returns the QuadResult."""
+    if iv.is_finite:
+        return _finite_steps(iv, tol, budget)
+    if osc is None:
+        raise ValueError("an infinite interval needs an oscillation spec")
+    return _tail_steps(osc, iv, tol, head, max_lobes, budget)
 
 
 def integrate_entry(
@@ -524,20 +502,14 @@ def integrate_entry(
     budget: int = DEFAULT_BUDGET,
     max_lobes: int = 220,
 ) -> QuadResult:
-    """Dispatch an integrand + interval (+ kernel spec) to the right rule.
+    """Integrate f over ``iv`` with the rule ``steps`` picks.
 
     When ``osc`` is given, ``f`` is the smooth (non-kernel) factor and
-    the full integrand is f(t) * C_nu(frequency * t).  An infinite
-    interval needs a kernel: its lobes are what the tail integrator
-    sums.
+    the full integrand is f(t) * C_nu(frequency * t).
     """
-    if iv.is_finite:
-        steps = finite_steps(iv, tol, budget)
-    elif osc is None:
-        raise ValueError("an infinite interval needs an oscillation spec")
-    else:
-        lower = iv.lower if iv.kind == TAIL else 0.0
-        steps = tail_steps(osc, lower, tol, head, iv.singularity_hint, max_lobes, budget)
+    gen = steps(iv, osc, tol, head, budget, max_lobes)
     if osc is None:
-        return _drive(steps, f)
-    return _drive(steps, lambda t: np.asarray(f(t), dtype=float) * osc.kernel(t))
+        full = lambda t: np.asarray(f(t), dtype=float)
+    else:
+        full = lambda t: np.asarray(f(t), dtype=float) * osc.kernel(t)
+    return drive([gen], lambda live, requests: [full(requests[0])])[0]

@@ -170,6 +170,30 @@ def test_lhs_matches_rhs_smoke(entry_id):
     assert abs(res.value - rhs) / (1.0 + abs(rhs)) <= 1e-5
 
 
+@pytest.mark.parametrize(
+    "entry_id,params", [("T17a", {"nu": 0.5, "z": 2.7}), ("T18", {"mu": 0.6, "z": 2.7})]
+)
+def test_chirped_entry_off_grid_within_its_bound(entry_id, params):
+    # off the default grid the modulator's breaks outrun the first table of
+    # kernel zeros; every lobe must still end at the next zero of either
+    e = entry_by_id(entry_id)
+    P = ParamPoint.of(**params)
+    res = e.lhs(P)
+    err = abs(res.value - float(e.rhs(P)))
+    assert err <= e.tolerance
+    assert err <= 5.0 * res.abs_err
+
+
+def test_s6522_16_finite_with_scaled_bessel():
+    # I_(1/2) K_(1/2) overflows times underflows past x ~ 700 unless scaled
+    F = failure_by_id("S6522_16").seed
+    x = np.logspace(-6, 6)
+    want = np.sqrt(math.pi * x / 8.0) * -np.expm1(-2.0 * x) / (2.0 * x)
+    got = F(x)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
 def _t15_modulator_mpmath(nu, u):
     """2 e^{i(nu+1)pi/2} K_(2nu)(2 e^{i pi/4} sqrt(u)) u at 30 digits."""
     with mpmath.workdps(30):

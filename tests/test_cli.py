@@ -1,5 +1,6 @@
-"""CLI tests: subprocess smoke for exit codes and output formats,
-plus in-process checks for paths that need fixtures."""
+"""CLI tests: exit codes and output formats through ``cli.main`` in-process,
+and real subprocesses where the process itself is the subject (``python -m``,
+the ``HANKEL_DUAL_JOBS`` environment, the modules a fresh import loads)."""
 
 import dataclasses
 import io
@@ -19,34 +20,43 @@ ENV = dict(os.environ)
 ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, ENV.get("PYTHONPATH")]))
 
 
-def run_cli(*args, env=ENV, **kw):
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300, env=env, **kw
-    )
+def run_module(*args, env=ENV):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=300, env=env)
 
 
-def test_help_exits_zero():
+@pytest.fixture
+def run_cli(capsys):
+    """``cli.main(argv)`` with captured output, shaped like a finished process."""
+    def run(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(list(args), code, out, err)
+    return run
+
+
+def test_help_exits_zero(run_cli):
     assert run_cli("--help").returncode == 0
     assert run_cli("verify", "--help").returncode == 0
 
 
 def test_version_exits_zero():
-    proc = run_cli("--version")
+    # the one run of the real entry point, ``python -m hankel_dual.cli``
+    proc = run_module("--version")
     assert proc.returncode == 0
 
 
-def test_no_subcommand_is_usage_error():
+def test_no_subcommand_is_usage_error(run_cli):
     assert run_cli().returncode == cli.EXIT_USAGE
 
 
-def test_list_text():
+def test_list_text(run_cli):
     proc = run_cli("list")
     assert proc.returncode == 0
     assert "T01" in proc.stdout
     assert "S6512_1a" in proc.stdout
 
 
-def test_list_json_schema():
+def test_list_json_schema(run_cli):
     proc = run_cli("list", "--json")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -54,7 +64,7 @@ def test_list_json_schema():
     assert len(doc["failures"]) == 16
 
 
-def test_list_group_filter():
+def test_list_group_filter(run_cli):
     proc = run_cli("list", "--group", "6")
     assert proc.returncode == 0
     assert "T28a" in proc.stdout
@@ -62,29 +72,29 @@ def test_list_group_filter():
     assert run_cli("list", "--group", "99").returncode == cli.EXIT_USAGE
 
 
-def test_verify_selected_entries_pass():
+def test_verify_selected_entries_pass(run_cli):
     proc = run_cli("verify", "--entry", "T03", "--entry", "T24")
     assert proc.returncode == cli.EXIT_OK, proc.stdout + proc.stderr
     assert "summary:" in proc.stdout
     assert "0 Fail" in proc.stdout
 
 
-def test_verify_unknown_entry_is_usage_error():
+def test_verify_unknown_entry_is_usage_error(run_cli):
     proc = run_cli("verify", "--entry", "T99")
     assert proc.returncode == cli.EXIT_USAGE
     assert "T99" in proc.stderr
 
 
-def test_verify_bad_flag_value_is_usage_error():
+def test_verify_bad_flag_value_is_usage_error(run_cli):
     assert run_cli("verify", "--jobs", "many").returncode == cli.EXIT_USAGE
 
 
-def test_verify_unachievable_tolerance_exits_inconclusive():
+def test_verify_unachievable_tolerance_exits_inconclusive(run_cli):
     proc = run_cli("verify", "--entry", "T04", "--tol", "1e-17")
     assert proc.returncode == cli.EXIT_INCONCLUSIVE
 
 
-def test_verify_json_output(tmp_path):
+def test_verify_json_output(tmp_path, run_cli):
     out = tmp_path / "report.json"
     proc = run_cli("verify", "--entry", "T02a", "--format", "json", "--out", str(out))
     assert proc.returncode == cli.EXIT_OK
@@ -93,14 +103,14 @@ def test_verify_json_output(tmp_path):
     assert all(r["status"] == "Pass" for r in doc["rows"])
 
 
-def test_verify_csv_output():
+def test_verify_csv_output(run_cli):
     proc = run_cli("verify", "--entry", "T02a", "--format", "csv")
     assert proc.returncode == cli.EXIT_OK
     header = proc.stdout.splitlines()[0]
     assert header.startswith("row_kind,id,grid_index,params,status")
 
 
-def test_flat_config(tmp_path):
+def test_flat_config(tmp_path, run_cli):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nentry=T03,T21\nformat=csv\ntol=1e-5\n")
     proc = run_cli("verify", "--config", str(cfg))
@@ -109,7 +119,7 @@ def test_flat_config(tmp_path):
     assert all(line.split(",")[1] in ("T03", "T21") for line in body if line)
 
 
-def test_flat_config_bad_key(tmp_path):
+def test_flat_config_bad_key(tmp_path, run_cli):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("entries=T03\n")
     proc = run_cli("verify", "--config", str(cfg))
@@ -136,11 +146,20 @@ def test_verify_meaningless_tol_or_jobs_is_usage_error(flag, value):
     assert cli.main(["verify", "--entry", "T01", flag, value]) == cli.EXIT_USAGE
 
 
-def test_missing_config_is_usage_error():
+def test_missing_config_is_usage_error(run_cli):
     assert run_cli("verify", "--config", "/no/such/file").returncode == cli.EXIT_USAGE
 
 
-def test_json_config_roundtrip(tmp_path):
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"entry=T01\n\xff\xfe\n")
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("hankel-dual: error: cannot read config")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_json_config_roundtrip(tmp_path, run_cli):
     listed = run_cli("list", "--json")
     doc = json.loads(listed.stdout)
     doc["entries"] = [e for e in doc["entries"] if e["id"] in ("T03", "T23")]
@@ -185,14 +204,14 @@ def test_malformed_json_config_is_usage_error(tmp_path, capsys, doc):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_check_single_seed():
+def test_check_single_seed(run_cli):
     proc = run_cli("check", "--seed", "S6512_1a")
     assert proc.returncode == cli.EXIT_OK
     assert "S6512_1a" in proc.stdout
     assert "control" in proc.stdout  # admissible control row always present
 
 
-def test_check_unknown_seed():
+def test_check_unknown_seed(run_cli):
     assert run_cli("check", "--seed", "nope").returncode == cli.EXIT_USAGE
 
 
@@ -222,7 +241,7 @@ def test_jobs_env_default(monkeypatch):
 
 
 def test_bad_jobs_env_is_usage_error():
-    proc = run_cli("verify", "--entry", "T01", env={**ENV, "HANKEL_DUAL_JOBS": "abc"})
+    proc = run_module("verify", "--entry", "T01", env={**ENV, "HANKEL_DUAL_JOBS": "abc"})
     assert proc.returncode == cli.EXIT_USAGE
     assert "HANKEL_DUAL_JOBS" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -10,7 +10,7 @@ from hankel_dual import quad
 from hankel_dual.errors import AdmissibilityError, InconclusiveConditionError
 from hankel_dual.hankel import (
     SeedFunction,
-    _forward_lockstep,
+    _forwards,
     check_condition,
     dual_roundtrip,
     hankel_forward,
@@ -148,11 +148,11 @@ def test_lockstep_forward_equals_one_transform_at_a_time(F, nu):
     # the single-integrand integrate_entry path
     bs = np.geomspace(1e-3, 300.0, 97).tolist()
     tol = 1e-10
-    batch = _forward_lockstep(F, nu, bs, tol)
+    batch = _forwards(F, nu, bs, tol)
     iv = (quad.Interval.finite_from_zero(F.support_upper) if F.support_upper is not None
           else quad.Interval.full_half_line())
     for b, res in zip(bs, batch):
-        alone = hankel_forward(F, nu, b, tol, assume_admissible=True)
+        alone = hankel_forward(F, nu, b, tol)
         plain = quad.integrate_entry(lambda x: x * F(x), iv, quad.OscillationSpec(nu, b), tol)
         fields = [(r.value, r.abs_err, r.evaluations, r.converged) for r in (res, alone, plain)]
         assert fields[0] == fields[1] == fields[2], (F.name, b, fields)
@@ -188,6 +188,15 @@ def test_forward_argument_validation():
         hankel_forward(gaussian_seed(), 0.0, 0.0)
     with pytest.raises(ValueError):
         hankel_inverse(lambda u: np.exp(-u), 0.0, -1.0)
+
+
+@pytest.mark.parametrize("arg", [math.inf, -math.inf, math.nan])
+def test_non_finite_transform_argument_raises(arg):
+    # an infinite b once put every kernel zero at 0 and never returned
+    with pytest.raises(ValueError):
+        hankel_forward(gaussian_seed(), 0.0, arg)
+    with pytest.raises(ValueError):
+        hankel_inverse(lambda u: np.exp(-u), 0.0, arg)
 
 
 def test_condition_declared_endpoints():

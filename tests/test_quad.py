@@ -8,7 +8,6 @@ import scipy.special as sp
 
 from hankel_dual.quad import (
     _EPSILON_WINDOW,
-    FULL_HALF_LINE,
     INVERSE_SQRT_AT_LOWER,
     INVERSE_SQRT_AT_UPPER,
     LOG_AT_UPPER,
@@ -16,8 +15,6 @@ from hankel_dual.quad import (
     OscillationSpec,
     epsilon_extrapolate,
     integrate_entry,
-    integrate_finite,
-    integrate_oscillatory_tail,
     _EpsilonTable,
 )
 
@@ -124,10 +121,10 @@ def test_interval_validation():
     with pytest.raises(ValueError):
         Interval.segment(2.0, 1.0)
     with pytest.raises(ValueError):
-        Interval("finite_segment", -1.0, 1.0)
+        Interval(-1.0, 1.0)
     with pytest.raises(ValueError):
         Interval.finite_from_zero(1.0, hint="bogus")
-    assert Interval.full_half_line().kind == FULL_HALF_LINE
+    assert Interval.full_half_line() == Interval.tail(0.0)
     assert not Interval.tail(3.0).is_finite
 
 
@@ -140,8 +137,14 @@ def test_oscillation_spec_validation():
     assert abs(float(spec.kernel(1.5)) - sp.yv(0.0, 3.0)) < 1e-14
 
 
+@pytest.mark.parametrize("frequency", [math.inf, math.nan, -1.0])
+def test_oscillation_spec_needs_finite_positive_frequency(frequency):
+    with pytest.raises(ValueError):
+        OscillationSpec(0.0, frequency)
+
+
 def test_finite_smooth_polynomial_exact():
-    res = integrate_finite(lambda x: 3.0 * x**2, Interval.finite_from_zero(2.0), 1e-12)
+    res = integrate_entry(lambda x: 3.0 * x**2, Interval.finite_from_zero(2.0), tol=1e-12)
     assert res.converged
     assert abs(res.value - 8.0) < 1e-12
 
@@ -149,39 +152,39 @@ def test_finite_smooth_polynomial_exact():
 def test_finite_additivity_fuzz():
     rng = np.random.default_rng(42)
     f = lambda x: np.cos(3.0 * x) * np.exp(-0.5 * x)
-    whole = integrate_finite(f, Interval.finite_from_zero(2.0), 1e-12).value
+    whole = integrate_entry(f, Interval.finite_from_zero(2.0), tol=1e-12).value
     for _ in range(8):
         m = float(rng.uniform(0.2, 1.8))
-        left = integrate_finite(f, Interval.finite_from_zero(m), 1e-12).value
-        right = integrate_finite(f, Interval.segment(m, 2.0), 1e-12).value
+        left = integrate_entry(f, Interval.finite_from_zero(m), tol=1e-12).value
+        right = integrate_entry(f, Interval.segment(m, 2.0), tol=1e-12).value
         assert abs(left + right - whole) < 1e-11
 
 
 def test_inverse_sqrt_upper_hint():
-    res = integrate_finite(
+    res = integrate_entry(
         lambda x: 1.0 / np.sqrt(1.0 - x**2),
         Interval.finite_from_zero(1.0, INVERSE_SQRT_AT_UPPER),
-        1e-10,
+        tol=1e-10,
     )
     assert res.converged
     assert abs(res.value - math.pi / 2.0) < 1e-10
 
 
 def test_inverse_sqrt_lower_hint():
-    res = integrate_finite(
+    res = integrate_entry(
         lambda x: 1.0 / np.sqrt(x**2 - 1.0),
         Interval.segment(1.0, 2.0, INVERSE_SQRT_AT_LOWER),
-        1e-10,
+        tol=1e-10,
     )
     assert res.converged
     assert abs(res.value - math.acosh(2.0)) < 1e-10
 
 
 def test_log_upper_hint():
-    res = integrate_finite(
+    res = integrate_entry(
         lambda x: np.log1p(-x),
         Interval.finite_from_zero(1.0, LOG_AT_UPPER),
-        1e-8,
+        tol=1e-8,
     )
     assert res.converged
     assert abs(res.value + 1.0) < 5e-9
@@ -243,11 +246,11 @@ def test_period_acceleration_same_frequency_product():
     # int_0^inf J_1(t)^2 / t dt = 1/2; the lobe sums do not alternate,
     # so epsilon acceleration is unreliable here and the integrator must
     # return the constant-phase extrapolation without being told to
-    res = integrate_oscillatory_tail(
+    res = integrate_entry(
         lambda t: sp.jv(1.0, t) / t,
+        Interval.tail(0.0),
         OscillationSpec(1.0, 1.0),
-        0.0,
-        1e-7,
+        tol=1e-7,
     )
     assert res.converged
     assert abs(res.value - 0.5) <= 5.0 * res.abs_err
@@ -270,8 +273,23 @@ def test_extra_breaks_partition_chirped_modulator():
     assert abs(res.value - sp.jv(0.0, 1.0)) <= 5.0 * res.abs_err
 
 
+def test_extra_breaks_past_last_kernel_zero():
+    # the same integral with its lobes starting at t = 280, past the 96
+    # kernel zeros of the first break table: the partition there must
+    # still hold every kernel zero, not the sparse modulator zeros alone
+    breaks = lambda m: (sp.jn_zeros(0, m) / 2.0) ** 2
+    res = integrate_entry(
+        lambda t: sp.jv(0.0, 2.0 * np.sqrt(t)),
+        Interval.full_half_line(),
+        OscillationSpec(0.0, 1.0, extra_breaks=breaks),
+        tol=1e-7,
+        head=280.0,
+    )
+    assert abs(res.value - sp.jv(0.0, 1.0)) <= 5.0 * res.abs_err
+
+
 def test_result_fields():
-    res = integrate_finite(lambda x: np.exp(x), Interval.finite_from_zero(1.0), 1e-12)
+    res = integrate_entry(lambda x: np.exp(x), Interval.finite_from_zero(1.0), tol=1e-12)
     assert res.evaluations > 0
     assert res.abs_err >= 0.0
     assert res.converged
