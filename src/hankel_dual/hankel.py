@@ -13,6 +13,16 @@ over [0, support_upper], every other one and every inverse over
 caller tells it where F jumps.  The forward transforms at all u of one
 inverse node request run in lockstep, one generator per u, sharing one
 F call and one J_nu call per step.
+
+A non-compact seed's forward head [0, max(1, 10/b)] is integrated in
+x = U t^2 (``quad.ALGEBRAIC_AT_ZERO``).  Admissibility lets F grow like
+x^p, p > -3/2, at zero, and the substituted integrand is then
+O(t^(2p+3)), bounded, so x K_0(x) ~ -x log x needs no bisection toward
+0; and at small b the head's first panel no longer lies wholly beyond
+where F lives.  A compact seed's [0, support_upper] keeps plain panels:
+there the substitution bought nothing, cost the truncated power more
+forward evaluations and moved its round-trip residuals near r = 1,
+where the inverse's error bound is least honest.
 """
 
 from __future__ import annotations
@@ -148,12 +158,19 @@ def _require_admissible(F: SeedFunction):
     return verdict
 
 
+def _forward_interval(F: SeedFunction) -> Interval:
+    """Where the forward transform of F is integrated: [0, support_upper]
+    for a compact seed, else [0, inf) with x = U t^2 on the head."""
+    if F.support_upper is not None:
+        return Interval.finite_from_zero(F.support_upper)
+    return Interval.tail(0.0, quad.ALGEBRAIC_AT_ZERO)
+
+
 def _forwards(F: SeedFunction, nu: float, bs, tol: float) -> list[QuadResult]:
     """G(b) at every b in bs, one integration generator per b.  Each step
     answers every live generator's request from one F call and one J_nu
     call, so each b gets exactly the result it would get on its own."""
-    iv = (Interval.full_half_line() if F.support_upper is None
-          else Interval.finite_from_zero(F.support_upper))
+    iv = _forward_interval(F)
 
     def values(live, requests):
         sizes = [x.size for x in requests]

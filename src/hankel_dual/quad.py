@@ -2,8 +2,9 @@
 
 Two rules: an adaptive Gauss-Legendre bisection rule for finite
 segments (with mandatory endpoint substitutions for declared
-inverse-square-root singularities and geometric refinement for
-logarithmic ones), and a semi-infinite oscillatory rule that partitions
+inverse-square-root singularities and for algebraic or logarithmic
+ones at zero, and geometric refinement for logarithmic ones at the
+upper end), and a semi-infinite oscillatory rule that partitions
 the axis at Bessel-kernel zeros and extrapolates the lobe sums.  It runs
 Wynn's epsilon algorithm, for sums that alternate, and a constant-phase
 fit in inverse powers of the truncation point, for sums that do not,
@@ -46,8 +47,9 @@ _EPSILON_WINDOW = 40
 INVERSE_SQRT_AT_UPPER = "inverse_sqrt_at_upper"
 INVERSE_SQRT_AT_LOWER = "inverse_sqrt_at_lower"
 LOG_AT_UPPER = "log_at_upper"
+ALGEBRAIC_AT_ZERO = "algebraic_at_zero"
 
-_HINTS = {None, INVERSE_SQRT_AT_UPPER, INVERSE_SQRT_AT_LOWER, LOG_AT_UPPER}
+_HINTS = {None, INVERSE_SQRT_AT_UPPER, INVERSE_SQRT_AT_LOWER, LOG_AT_UPPER, ALGEBRAIC_AT_ZERO}
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ class Interval:
             raise ValueError("lower bound must be >= 0")
         if not (self.upper > self.lower):
             raise ValueError("interval requires lower < upper")
+        if self.singularity_hint == ALGEBRAIC_AT_ZERO and self.lower != 0.0:
+            raise ValueError("algebraic-at-zero substitution needs lower == 0")
 
     @classmethod
     def finite_from_zero(cls, upper, hint=None):
@@ -283,7 +287,11 @@ def _finite_steps(seg: Interval, tol: float, budget: int):
     Declared inverse-square-root endpoint singularities are removed by
     the substitutions x = U sin(theta) (upper) and x = L cosh(t)
     (lower) before refinement; logarithmic upper-endpoint singularities
-    get geometric panel refinement toward the endpoint.
+    get geometric panel refinement toward the endpoint.  An algebraic or
+    logarithmic singularity at zero is smoothed by x = U t^2 over
+    t in [0, 1]: an integrand O(x^q) with q > -1 becomes O(t^(2q+1)),
+    and x log x becomes t^3 log t (Davis & Rabinowitz, Methods of
+    Numerical Integration, 2nd ed., 1984, sec. 2.9).
     """
     lo, up = seg.lower, seg.upper
     sub = None
@@ -295,6 +303,8 @@ def _finite_steps(seg: Interval, tol: float, budget: int):
             raise ValueError("inverse-sqrt-at-lower substitution needs lower > 0")
         tmax = math.acosh(up / lo)
         panels, sub = _quarters(0.0, tmax), (lo, np.cosh, np.sinh)
+    elif seg.singularity_hint == ALGEBRAIC_AT_ZERO:
+        panels, sub = _UNIT_QUARTERS, (up, np.square, lambda t: 2.0 * t)
     elif seg.singularity_hint == LOG_AT_UPPER:
         pts = [lo] + [up - (up - lo) * 0.5**j for j in range(1, 34)]  # geometric toward up
         panels = list(zip(pts[:-1], pts[1:]))
@@ -317,6 +327,9 @@ def _finite_steps(seg: Interval, tol: float, budget: int):
 def _quarters(a, b):
     edges = np.linspace(a, b, 5)
     return list(zip(edges[:-1], edges[1:]))
+
+
+_UNIT_QUARTERS = tuple(_quarters(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hankel_dual import quad
 from hankel_dual.errors import AdmissibilityError, InconclusiveConditionError
 from hankel_dual.hankel import (
     SeedFunction,
+    _forward_interval,
     _forwards,
     check_condition,
     dual_roundtrip,
@@ -92,6 +93,28 @@ def test_forward_closed_forms(F, nu, truth, tol, bound, b):
     assert res.converged
     assert err <= 5.0 * res.abs_err
     assert err < bound
+    if F.name == "K0":
+        # x = U t^2 on the head turns x K0(x) ~ -x log x into t^3 log t;
+        # bisecting toward the log at x = 0 took 1,039-1,308
+        assert res.evaluations <= 600, res.evaluations
+
+
+# the non-compact seeds, whose heads [0, 10/b] run far past where F lives
+SMALL_B_CLOSED_FORMS = [row[:4] for row in FORWARD_CLOSED_FORMS if row[0].support_upper is None]
+
+
+@pytest.mark.parametrize(
+    "F,nu,truth,tol,b",
+    [row + (b,) for row in SMALL_B_CLOSED_FORMS for b in (1e-4, 1e-3)],
+    ids=[f"{row[0].name}-b={b}" for row in SMALL_B_CLOSED_FORMS for b in (1e-4, 1e-3)],
+)
+def test_forward_small_b_is_honest(F, nu, truth, tol, b):
+    # with equal quarters of [0, 10/b] every node of the first panel lay
+    # beyond the seed, so the transform returned about 0 as converged
+    res = hankel_forward(F, nu, b, tol=tol)
+    err = abs(res.value - truth(b))
+    assert res.converged
+    assert err <= 5.0 * res.abs_err, (res.value, truth(b), res.abs_err)
 
 
 @pytest.mark.parametrize("F,nu", SMOOTH_SEEDS, ids=[s.name for s, _ in SMOOTH_SEEDS])
@@ -149,8 +172,7 @@ def test_lockstep_forward_equals_one_transform_at_a_time(F, nu):
     bs = np.geomspace(1e-3, 300.0, 97).tolist()
     tol = 1e-10
     batch = _forwards(F, nu, bs, tol)
-    iv = (quad.Interval.finite_from_zero(F.support_upper) if F.support_upper is not None
-          else quad.Interval.full_half_line())
+    iv = _forward_interval(F)
     for b, res in zip(bs, batch):
         alone = hankel_forward(F, nu, b, tol)
         plain = quad.integrate_entry(lambda x: x * F(x), iv, quad.OscillationSpec(nu, b), tol)

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hankel_dual.quad import (
     _EPSILON_WINDOW,
+    _HINTS,
+    ALGEBRAIC_AT_ZERO,
     INVERSE_SQRT_AT_LOWER,
     INVERSE_SQRT_AT_UPPER,
     LOG_AT_UPPER,
@@ -126,6 +130,46 @@ def test_interval_validation():
         Interval.finite_from_zero(1.0, hint="bogus")
     assert Interval.full_half_line() == Interval.tail(0.0)
     assert not Interval.tail(3.0).is_finite
+    with pytest.raises(ValueError):
+        Interval(0.5, 1.0, ALGEBRAIC_AT_ZERO)
+
+
+_BOUNDS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, math.inf]))
+
+
+@given(
+    lower=_BOUNDS,
+    upper=_BOUNDS,
+    hint=st.one_of(st.sampled_from(sorted(_HINTS, key=str)), st.text(max_size=4)),
+)
+def test_interval_accepts_exactly_the_valid_ranges(lower, upper, hint):
+    valid = (
+        hint in _HINTS
+        and 0.0 <= lower < upper
+        and (hint != ALGEBRAIC_AT_ZERO or lower == 0.0)
+    )
+    if not valid:
+        with pytest.raises(ValueError):
+            Interval(lower, upper, hint)
+        return
+    iv = Interval(lower, upper, hint)
+    assert 0.0 <= iv.lower < iv.upper
+    assert iv.singularity_hint in _HINTS
+    assert iv.is_finite == math.isfinite(upper)
+
+
+@given(
+    frequency=st.one_of(st.floats(), st.sampled_from([0.0, 1e-300, 1.0, math.inf])),
+    kind=st.one_of(st.sampled_from(["j", "y", "J", "h"]), st.text(max_size=2)),
+)
+def test_oscillation_spec_accepts_exactly_finite_positive_j_or_y(frequency, kind):
+    if not (0.0 < frequency < math.inf and kind in ("j", "y")):
+        with pytest.raises(ValueError):
+            OscillationSpec(0.0, frequency, kind)
+        return
+    spec = OscillationSpec(0.0, frequency, kind)
+    assert math.isfinite(spec.frequency) and spec.frequency > 0.0
+    assert spec.kind in ("j", "y")
 
 
 def test_oscillation_spec_validation():
@@ -188,6 +232,25 @@ def test_log_upper_hint():
     )
     assert res.converged
     assert abs(res.value + 1.0) < 5e-9
+
+
+def test_algebraic_at_zero_hint_log():
+    # x = t^2 turns -x log x into -4 t^3 log t: smooth enough for the
+    # Gauss-Legendre panels, so no bisection toward the log at zero
+    f = lambda x: -x * np.log(x)
+    hinted = integrate_entry(f, Interval.segment(0.0, 1.0, ALGEBRAIC_AT_ZERO), tol=1e-13)
+    plain = integrate_entry(f, Interval.segment(0.0, 1.0), tol=1e-13)
+    assert hinted.converged
+    assert abs(hinted.value - 0.25) < 1e-13
+    assert hinted.evaluations < plain.evaluations
+
+
+def test_algebraic_at_zero_hint_power():
+    res = integrate_entry(
+        lambda x: x**-0.4, Interval.segment(0.0, 1.0, ALGEBRAIC_AT_ZERO), tol=1e-12
+    )
+    assert res.converged
+    assert abs(res.value - 1.0 / 0.6) < 1e-12
 
 
 @pytest.mark.parametrize(
