@@ -12,17 +12,30 @@ over [0, support_upper], every other one and every inverse over
 [0, inf) by the oscillatory rule, which picks its own extrapolation: no
 caller tells it where F jumps.  The forward transforms at all u of one
 inverse node request run in lockstep, one generator per u, sharing one
-F call and one J_nu call per step.
+F call and one kernel evaluation per step.
 
-A non-compact seed's forward head [0, max(1, 10/b)] is integrated in
-x = U t^2 (``quad.ALGEBRAIC_AT_ZERO``).  Admissibility lets F grow like
+A non-compact seed's forward runs in t = b x:
+G(b) = b^-2 int_0^inf t F(t/b) J_nu(t) dt.  There the kernel, its zeros
+and the lobe nodes do not depend on b, and the head [0, max(b, 10)]
+(which is [0, max(1, 10/b)] in x) snaps to the same kernel zeros, so
+every b whose head snaps to the same zero starts from the same panels.
+J_nu is therefore kept in one table per order, keyed by a request's
+node array: each distinct array costs one ``jv`` evaluation for the
+whole process, and a round trip's forwards come back to the same few
+hundred arrays pass after pass.  The head is integrated in
+x = U s^2 (``quad.ALGEBRAIC_AT_ZERO``).  Admissibility lets F grow like
 x^p, p > -3/2, at zero, and the substituted integrand is then
-O(t^(2p+3)), bounded, so x K_0(x) ~ -x log x needs no bisection toward
+O(s^(2p+3)), bounded, so x K_0(x) ~ -x log x needs no bisection toward
 0; and at small b the head's first panel no longer lies wholly beyond
-where F lives.  A compact seed's [0, support_upper] keeps plain panels:
-there the substitution bought nothing, cost the truncated power more
-forward evaluations and moved its round-trip residuals near r = 1,
-where the inverse's error bound is least honest.
+where F lives.
+
+A compact seed keeps the x frame, [0, support_upper] with plain panels
+and kernel J_nu(b x).  In t its segment [0, b c] would move with b, so
+no node array would repeat and a table would only grow; and any change
+of its nodes moves its round-trip residuals near r = 1, where the
+inverse's error bound is least honest.  The substitution was left off
+it for the same reason: it bought nothing there and cost the truncated
+power more forward evaluations.
 """
 
 from __future__ import annotations
@@ -158,28 +171,61 @@ def _require_admissible(F: SeedFunction):
     return verdict
 
 
-def _forward_interval(F: SeedFunction) -> Interval:
-    """Where the forward transform of F is integrated: [0, support_upper]
-    for a compact seed, else [0, inf) with x = U t^2 on the head."""
+def _forward_frame(F: SeedFunction, nu: float, b: float):
+    """How G(b) is integrated: (interval, kernel spec, head, t_per_x, weight),
+    with G(b) = weight * int t F(t / t_per_x) C(t) dt over the interval and
+    C the spec's kernel.  A compact seed keeps x = t over [0, support_upper]
+    with kernel J_nu(b x); any other seed runs in t = b x over [0, inf) with
+    kernel J_nu(t), x = U s^2 on its head, and head [0, max(b, 10)], which is
+    [0, max(1, 10/b)] in x."""
     if F.support_upper is not None:
-        return Interval.finite_from_zero(F.support_upper)
-    return Interval.tail(0.0, quad.ALGEBRAIC_AT_ZERO)
+        return Interval.finite_from_zero(F.support_upper), OscillationSpec(nu, b), None, 1.0, 1.0
+    iv = Interval.tail(0.0, quad.ALGEBRAIC_AT_ZERO)
+    return iv, OscillationSpec(nu, 1.0), max(b, 10.0), b, 1.0 / (b * b)
+
+
+# J_nu at the t-frame node arrays, one table per order: node bytes -> values
+_KERNEL_TABLES: dict[float, dict[bytes, np.ndarray]] = {}
+
+
+def _tabled_jv(nu: float, requests) -> np.ndarray:
+    """J_nu at the concatenated node arrays, each looked up in the order's
+    table; every array not yet there is filled by one jv call and stored
+    read-only.  Two threads that fill the same key store equal arrays."""
+    table = _KERNEL_TABLES.setdefault(nu, {})
+    keys = [t.tobytes() for t in requests]
+    missing = {k: t for k, t in zip(keys, requests) if k not in table}
+    if missing:
+        fresh = sp.jv(nu, np.concatenate(list(missing.values())))
+        fresh.flags.writeable = False
+        end = 0
+        for k, t in missing.items():
+            table[k] = fresh[end:end + t.size]
+            end += t.size
+    return np.concatenate([table[k] for k in keys])
 
 
 def _forwards(F: SeedFunction, nu: float, bs, tol: float) -> list[QuadResult]:
     """G(b) at every b in bs, one integration generator per b.  Each step
     answers every live generator's request from one F call and one J_nu
-    call, so each b gets exactly the result it would get on its own."""
-    iv = _forward_interval(F)
+    lookup, so each b gets exactly the result it would get on its own."""
+    frames = [_forward_frame(F, nu, b) for b in bs]
+    gens = [quad.steps(iv, osc, tol, head) for iv, osc, head, _, _ in frames]
+    freq, t_per_x, weight = np.asarray([(osc.frequency, s, w) for _, osc, _, s, w in frames]).T
+    compact = F.support_upper is not None
 
     def values(live, requests):
-        sizes = [x.size for x in requests]
-        X = np.concatenate(requests)
-        Y = X * F(X) * sp.jv(nu, np.repeat([bs[k] for k in live], sizes) * X)
+        sizes = [t.size for t in requests]
+        T = np.concatenate(requests)
+        if compact:
+            kernel = sp.jv(nu, np.repeat(freq[live], sizes) * T)
+        else:
+            kernel = _tabled_jv(nu, requests)
+        Y = T * F(T / np.repeat(t_per_x[live], sizes)) * np.repeat(weight[live], sizes) * kernel
         ends = np.cumsum(sizes).tolist()
         return [Y[end - n:end] for end, n in zip(ends, sizes)]
 
-    return quad.drive([quad.steps(iv, OscillationSpec(nu, b), tol) for b in bs], values)
+    return quad.drive(gens, values)
 
 
 def hankel_forward(F: SeedFunction, nu: float, b: float, tol: float = 1e-9) -> QuadResult:

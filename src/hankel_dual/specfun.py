@@ -8,10 +8,11 @@ including modified Bessel K at complex arguments, are backed by
 functions of non-zero negative order fall back to ``mpmath``, which is
 imported on that path alone.
 
-Zeros of J_nu and Y_nu (nu >= -1/2) come from one vectorised scan.  Its
+Zeros of J_nu and Y_nu (nu > -1) come from one vectorised scan.  Its
 grid starts below the first zero: at nu for nu >= 0 (DLMF 10.21.3), at
-1e-17 for nu < 0, where Y_nu's first zero, about pi(nu + 1/2), nears 0.
-Its step of 0.8 is well under the smallest zero gap (3.05 on [-1/2, 12]).
+1e-17 for nu < 0, where Y_nu's first zero, about pi(nu + 1/2), nears 0
+as nu falls to -1/2, and J_nu's as nu falls to -1.  Its step of 0.8 is
+well under the smallest zero gap (3.05 on (-1, 12]).
 Newton steps refine all sign-change brackets at once and bisect when a
 step would leave its bracket, so each zero stays in its own bracket and
 the table increases by construction.  Each zero stops on its own step,
@@ -410,10 +411,10 @@ def _zeros_by_scan(nu: float, kind: str, count: int) -> np.ndarray:
 
 
 def bessel_zeros(nu, kmax: int, kind: str = "j") -> np.ndarray:
-    """First kmax positive zeros of J_nu (kind='j') or Y_nu (kind='y'), nu >= -1/2."""
+    """First kmax positive zeros of J_nu (kind='j') or Y_nu (kind='y'), nu > -1."""
     nu = _as_order(nu)
-    if nu < -0.5:
-        raise DomainError(f"bessel_zeros requires nu >= -1/2, got {nu}")
+    if nu <= -1.0:
+        raise DomainError(f"bessel_zeros requires nu > -1, got {nu}")
     if kind not in ("j", "y"):
         raise ValueError(f"unknown Bessel kind {kind!r}")
     kmax = int(kmax)
@@ -427,5 +428,5 @@ def bessel_zeros(nu, kmax: int, kind: str = "j") -> np.ndarray:
 
 
 def bessel_zero(nu, k: int, kind: str = "j") -> float:
-    """k-th positive zero of the Bessel function of order nu >= -1/2."""
+    """k-th positive zero of the Bessel function of order nu > -1."""
     return float(bessel_zeros(nu, k, kind)[int(k) - 1])

@@ -184,6 +184,21 @@ def test_chirped_entry_off_grid_within_its_bound(entry_id, params):
     assert err <= 5.0 * res.abs_err
 
 
+@pytest.mark.parametrize("nu", [-0.3, -0.45])
+def test_t16_below_minus_quarter_has_its_zeros(nu):
+    # |nu| < 1/2 lets the Y_(2 nu) breaks have order 2 nu < -1/2, below
+    # which bessel_zeros once raised DomainError
+    e = entry_by_id("T16")
+    P = ParamPoint.of(nu=nu, z=1.0)
+    res = e.lhs(P)
+    err = abs(res.value - float(e.rhs(P)))
+    assert err <= 5.0 * res.abs_err, (res, err)
+    assert err <= e.tolerance or not res.converged, (res, err)
+    # at nu = -0.45 the integrand grows like c^(2 nu) = c^-0.9 at 0, past
+    # what the head's bisection meets at this tolerance
+    assert res.converged or nu == -0.45
+
+
 def test_s6522_16_finite_with_scaled_bessel():
     # I_(1/2) K_(1/2) overflows times underflows past x ~ 700 unless scaled
     F = failure_by_id("S6522_16").seed

@@ -1,16 +1,19 @@
 """Unit tests for the transform pair and the integrability condition."""
 
 import math
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
-from hankel_dual import quad
+from hankel_dual import hankel, quad
 from hankel_dual.errors import AdmissibilityError, InconclusiveConditionError
 from hankel_dual.hankel import (
     SeedFunction,
-    _forward_interval,
+    _forward_frame,
     _forwards,
     check_condition,
     dual_roundtrip,
@@ -172,12 +175,84 @@ def test_lockstep_forward_equals_one_transform_at_a_time(F, nu):
     bs = np.geomspace(1e-3, 300.0, 97).tolist()
     tol = 1e-10
     batch = _forwards(F, nu, bs, tol)
-    iv = _forward_interval(F)
     for b, res in zip(bs, batch):
         alone = hankel_forward(F, nu, b, tol)
-        plain = quad.integrate_entry(lambda x: x * F(x), iv, quad.OscillationSpec(nu, b), tol)
+        iv, osc, head, t_per_x, weight = _forward_frame(F, nu, b)
+        plain = quad.integrate_entry(
+            lambda t: t * F(t / t_per_x) * weight, iv, osc, tol, head=head
+        )
         fields = [(r.value, r.abs_err, r.evaluations, r.converged) for r in (res, alone, plain)]
         assert fields[0] == fields[1] == fields[2], (F.name, b, fields)
+
+
+def x_frame_forward(F, nu, b, tol):
+    """The non-compact forward as integrated before t = b x: x F(x) J_nu(b x)
+    over [0, inf) in x, with x = U s^2 on the head [0, max(1, 10/b)]."""
+    iv = quad.Interval.tail(0.0, quad.ALGEBRAIC_AT_ZERO)
+    return quad.integrate_entry(lambda x: x * F(x), iv, quad.OscillationSpec(nu, b), tol)
+
+
+NON_COMPACT_SEEDS = [(F, nu) for F, nu in SMOOTH_SEEDS if F.support_upper is None]
+
+
+@pytest.mark.parametrize("F,nu", NON_COMPACT_SEEDS, ids=[s.name for s, _ in NON_COMPACT_SEEDS])
+def test_t_frame_forward_agrees_with_x_frame(F, nu):
+    # t = b x moves the nodes by rounding only, so the two frames agree
+    # within the error each claims
+    tol = 1e-10
+    for b in np.geomspace(1e-3, 300.0, 25):
+        t_res = hankel_forward(F, nu, b, tol)
+        x_res = x_frame_forward(F, nu, b, tol)
+        assert t_res.converged == x_res.converged, (F.name, b)
+        assert abs(t_res.value - x_res.value) <= 5.0 * t_res.abs_err, (F.name, b, t_res, x_res)
+
+
+def test_repeated_roundtrip_reuses_kernel_table(monkeypatch):
+    # every b of a non-compact forward shares the t-frame nodes, so a
+    # second identical round trip finds J_nu at every node array it needs
+    F = gaussian_seed()
+    ((_, first),) = dual_roundtrip(F, 0.0, [1.0])
+    calls = []
+
+    def jv(nu, t):
+        calls.append(np.size(t))
+        return sp.jv(nu, t)
+
+    monkeypatch.setattr(hankel, "sp", types.SimpleNamespace(jv=jv))
+    ((_, second),) = dual_roundtrip(F, 0.0, [1.0])
+    assert calls == []
+    assert second == first
+    tables = hankel._KERNEL_TABLES[0.0]
+    assert all(not values.flags.writeable for values in tables.values())
+
+
+def test_kernel_table_shared_between_threads(monkeypatch):
+    # threads that fill one table at once must each get the serial result
+    F, nu = power_exp_seed(1.0), 1.0
+    bs = np.geomspace(0.05, 50.0, 12).tolist()
+    serial = _forwards(F, nu, bs, 1e-10)
+    monkeypatch.setattr(hankel, "_KERNEL_TABLES", {})
+    got, errors = {}, []
+
+    def work(k):
+        try:
+            got[k] = _forwards(F, nu, bs[k % 3::3], 1e-10)
+        except Exception as exc:  # surfaced below through the assertion
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    for k in range(6):
+        assert got[k] == serial[k % 3::3]
 
 
 def test_scale_covariance():
