@@ -24,9 +24,8 @@ from . import quad
 from .errors import ParameterError, UnknownIdError
 from .hankel import SeedFunction
 from .quad import (
-    INVERSE_SQRT_AT_LOWER,
-    INVERSE_SQRT_AT_UPPER,
-    LOG_AT_UPPER,
+    ALGEBRAIC_AT_LOWER,
+    ALGEBRAIC_AT_UPPER,
     Interval,
     OscillationSpec,
     QuadResult,
@@ -303,7 +302,7 @@ def _build_entries() -> list:
                 * u ** (1.0 - P["nu"]) * _sp.jv(P["nu"], u * P["t"])
             )),
             interval=lambda P: Interval.segment(
-                abs(P["b"] - P["c"]), P["b"] + P["c"], INVERSE_SQRT_AT_UPPER
+                abs(P["b"] - P["c"]), P["b"] + P["c"], ALGEBRAIC_AT_UPPER
             ),
         ),),
     ))
@@ -749,7 +748,7 @@ def _build_entries() -> list:
         tol_class="Singular",
         pieces=(Piece(
             integrand=lambda P: (lambda u: 1.0 / np.sqrt(u * u - 4.0 * P["a"] ** 2)),
-            interval=lambda P: Interval.tail(2.0 * P["a"], INVERSE_SQRT_AT_LOWER),
+            interval=lambda P: Interval.tail(2.0 * P["a"], ALGEBRAIC_AT_LOWER),
             osc=lambda P: OscillationSpec(P["nu"], P["z"]),
         ),),
     ))
@@ -1153,14 +1152,14 @@ def _build_entries() -> list:
                 integrand=lambda P: (lambda u: (
                     _sp.jv(1.0, u * P["z"]) * np.log1p(-((u / P["a"]) ** 2))
                 )),
-                interval=lambda P: Interval.finite_from_zero(P["a"], LOG_AT_UPPER),
+                interval=lambda P: Interval.finite_from_zero(P["a"], ALGEBRAIC_AT_UPPER),
             ),
             Piece(
                 integrand=lambda P: (lambda v: (
                     _sp.jv(1.0, (2.0 * P["a"] - v) * P["z"])
                     * np.log(((2.0 * P["a"] - v) / P["a"]) ** 2 - 1.0)
                 )),
-                interval=lambda P: Interval.finite_from_zero(P["a"], LOG_AT_UPPER),
+                interval=lambda P: Interval.finite_from_zero(P["a"], ALGEBRAIC_AT_UPPER),
             ),
             Piece(
                 integrand=lambda P: (lambda u: np.log((u / P["a"]) ** 2 - 1.0)),
@@ -1213,7 +1212,7 @@ def _build_entries() -> list:
             integrand=lambda P: (lambda u: (
                 np.arcsin(np.clip(u / (2.0 * P["a"]), -1.0, 1.0)) * _sp.jv(1.0, u * P["z"])
             )),
-            interval=lambda P: Interval.finite_from_zero(2.0 * P["a"], INVERSE_SQRT_AT_UPPER),
+            interval=lambda P: Interval.finite_from_zero(2.0 * P["a"], ALGEBRAIC_AT_UPPER),
         ),),
     ))
 
@@ -1431,7 +1430,7 @@ def _build_entries() -> list:
                 / np.sqrt(np.maximum(4.0 * P["a"] ** 2 - u * u, 1e-300))
                 * _sp.eval_chebyt(int(P["n"]), np.clip(u / (2.0 * P["a"]), -1.0, 1.0))
             )),
-            interval=lambda P: Interval.finite_from_zero(2.0 * P["a"], INVERSE_SQRT_AT_UPPER),
+            interval=lambda P: Interval.finite_from_zero(2.0 * P["a"], ALGEBRAIC_AT_UPPER),
         ),),
     ))
 

@@ -33,6 +33,8 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
 _CONFIG_KEYS = {"entry", "group", "seed", "tol", "jobs", "format", "out", "seeds"}
+_FORMATS = ("text", "json", "csv")
+_SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class UsageError(Exception):
@@ -70,6 +72,21 @@ def _job_count(text: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"jobs must be an integer >= 1, got {text!r}")
     return jobs
+
+
+def _output_format(text: str) -> str:
+    """Parse a report format: text, json or csv."""
+    if text not in _FORMATS:
+        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {text!r}")
+    return text
+
+
+def _switch(text: str) -> bool:
+    """Parse an on/off value: 1/0, true/false or yes/no, in any case."""
+    try:
+        return _SWITCHES[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}") from None
 
 
 def _config_value(cfg: dict, key: str, parse):
@@ -170,10 +187,12 @@ def _cmd_verify(args) -> int:
     jobs = args.jobs if args.jobs is not None else (
         _config_value(cfg, "jobs", _job_count) if cfg.get("jobs") else _default_jobs()
     )
-    fmt = args.format or cfg.get("format") or "text"
+    fmt = args.format or (
+        _config_value(cfg, "format", _output_format) if cfg.get("format") else "text"
+    )
     out = args.out or cfg.get("out")
     with_seeds = not args.no_seeds
-    if cfg.get("seeds", "").lower() in ("0", "false", "no"):
+    if cfg.get("seeds") and not _config_value(cfg, "seeds", _switch):
         with_seeds = False
 
     entries = _select_entries(entry_ids, group)
@@ -192,7 +211,7 @@ def _cmd_verify(args) -> int:
         _emit(report.to_json(), out)
     elif fmt == "csv":
         _emit(report.to_csv(), out)
-    elif fmt == "text":
+    else:
         lines = []
         for r in report.rows:
             params = ", ".join(f"{k}={v:g}" for k, v in sorted(r.params.items()))
@@ -213,8 +232,6 @@ def _cmd_verify(args) -> int:
             f"({report.wall_seconds:.1f} s, jobs={jobs})"
         )
         _emit("\n".join(lines), out)
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
     return _report_exit(report)
 
 
@@ -299,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override the per-class tolerance (finite, > 0)")
     p_verify.add_argument("--jobs", type=_job_count,
                           help="worker threads, >= 1 (default HANKEL_DUAL_JOBS or 1)")
-    p_verify.add_argument("--format", choices=("text", "json", "csv"))
+    p_verify.add_argument("--format", choices=_FORMATS)
     p_verify.add_argument("--out", metavar="PATH", help="write output to a file")
     p_verify.add_argument("--config", metavar="PATH",
                           help="flat key=value config, or JSON from 'list --json'")

@@ -23,7 +23,7 @@ J_nu is therefore kept in one table per order, keyed by a request's
 node array: each distinct array costs one ``jv`` evaluation for the
 whole process, and a round trip's forwards come back to the same few
 hundred arrays pass after pass.  The head is integrated in
-x = U s^2 (``quad.ALGEBRAIC_AT_ZERO``).  Admissibility lets F grow like
+x = U s^2 (``quad.ALGEBRAIC_AT_LOWER``).  Admissibility lets F grow like
 x^p, p > -3/2, at zero, and the substituted integrand is then
 O(s^(2p+3)), bounded, so x K_0(x) ~ -x log x needs no bisection toward
 0; and at small b the head's first panel no longer lies wholly beyond
@@ -172,16 +172,16 @@ def _require_admissible(F: SeedFunction):
 
 
 def _forward_frame(F: SeedFunction, nu: float, b: float):
-    """How G(b) is integrated: (interval, kernel spec, head, t_per_x, weight),
-    with G(b) = weight * int t F(t / t_per_x) C(t) dt over the interval and
+    """How G(b) is integrated: (interval, kernel spec, head, t_per_x), with
+    G(b) = t_per_x^-2 int t F(t / t_per_x) C(t) dt over the interval and
     C the spec's kernel.  A compact seed keeps x = t over [0, support_upper]
     with kernel J_nu(b x); any other seed runs in t = b x over [0, inf) with
     kernel J_nu(t), x = U s^2 on its head, and head [0, max(b, 10)], which is
     [0, max(1, 10/b)] in x."""
     if F.support_upper is not None:
-        return Interval.finite_from_zero(F.support_upper), OscillationSpec(nu, b), None, 1.0, 1.0
-    iv = Interval.tail(0.0, quad.ALGEBRAIC_AT_ZERO)
-    return iv, OscillationSpec(nu, 1.0), max(b, 10.0), b, 1.0 / (b * b)
+        return Interval.finite_from_zero(F.support_upper), OscillationSpec(nu, b), None, 1.0
+    iv = Interval.tail(0.0, quad.ALGEBRAIC_AT_LOWER)
+    return iv, OscillationSpec(nu, 1.0), max(b, 10.0), b
 
 
 # J_nu at the t-frame node arrays, one table per order: node bytes -> values
@@ -210,8 +210,9 @@ def _forwards(F: SeedFunction, nu: float, bs, tol: float) -> list[QuadResult]:
     answers every live generator's request from one F call and one J_nu
     lookup, so each b gets exactly the result it would get on its own."""
     frames = [_forward_frame(F, nu, b) for b in bs]
-    gens = [quad.steps(iv, osc, tol, head) for iv, osc, head, _, _ in frames]
-    freq, t_per_x, weight = np.asarray([(osc.frequency, s, w) for _, osc, _, s, w in frames]).T
+    gens = [quad.steps(iv, osc, tol, head) for iv, osc, head, _ in frames]
+    freq, t_per_x = np.asarray([(osc.frequency, s) for _, osc, _, s in frames]).T
+    weight = 1.0 / (t_per_x * t_per_x)
     compact = F.support_upper is not None
 
     def values(live, requests):

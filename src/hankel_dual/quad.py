@@ -1,11 +1,10 @@
 """Quadrature engine.
 
 Two rules: an adaptive Gauss-Legendre bisection rule for finite
-segments (with mandatory endpoint substitutions for declared
-inverse-square-root singularities and for algebraic or logarithmic
-ones at zero, and geometric refinement for logarithmic ones at the
-upper end), and a semi-infinite oscillatory rule that partitions
-the axis at Bessel-kernel zeros and extrapolates the lobe sums.  It runs
+segments, with one endpoint substitution x = end -+ (upper - lower) s^2
+for a declared algebraic or logarithmic singularity at either end, and
+a semi-infinite oscillatory rule that partitions the axis at
+Bessel-kernel zeros and extrapolates the lobe sums.  It runs
 Wynn's epsilon algorithm, for sums that alternate, and a constant-phase
 fit in inverse powers of the truncation point, for sums that do not,
 side by side; the first to converge gives the result.
@@ -44,12 +43,10 @@ DEFAULT_BUDGET = 2_000_000
 # lobes of partial sums that one Wynn epsilon table spans
 _EPSILON_WINDOW = 40
 
-INVERSE_SQRT_AT_UPPER = "inverse_sqrt_at_upper"
-INVERSE_SQRT_AT_LOWER = "inverse_sqrt_at_lower"
-LOG_AT_UPPER = "log_at_upper"
-ALGEBRAIC_AT_ZERO = "algebraic_at_zero"
+ALGEBRAIC_AT_LOWER = "algebraic_at_lower"
+ALGEBRAIC_AT_UPPER = "algebraic_at_upper"
 
-_HINTS = {None, INVERSE_SQRT_AT_UPPER, INVERSE_SQRT_AT_LOWER, LOG_AT_UPPER, ALGEBRAIC_AT_ZERO}
+_HINTS = {None, ALGEBRAIC_AT_LOWER, ALGEBRAIC_AT_UPPER}
 
 
 @dataclass(frozen=True)
@@ -68,8 +65,8 @@ class Interval:
             raise ValueError("lower bound must be >= 0")
         if not (self.upper > self.lower):
             raise ValueError("interval requires lower < upper")
-        if self.singularity_hint == ALGEBRAIC_AT_ZERO and self.lower != 0.0:
-            raise ValueError("algebraic-at-zero substitution needs lower == 0")
+        if self.singularity_hint == ALGEBRAIC_AT_UPPER and not self.is_finite:
+            raise ValueError("an algebraic-at-upper substitution needs a finite upper bound")
 
     @classmethod
     def finite_from_zero(cls, upper, hint=None):
@@ -230,15 +227,15 @@ def epsilon_extrapolate(partial_sums) -> tuple[float, float]:
 
 def _panel_sums(panels, sub):
     """Request the 37 nodes of every panel at once; returns each panel's
-    (25-point, 12-point) sums.  ``sub`` = (scale, x_of, jac) substitutes
-    x = scale*x_of(t), whose integrand is f(x)*scale*jac(t)."""
+    (25-point, 12-point) sums.  ``sub`` = (end, w) substitutes
+    x = end + w*s^2, whose integrand is f(x)*|w|*2s."""
     hs = [0.5 * (b - a) for a, b in panels]
     t = np.concatenate([a + h * _T37 for (a, _), h in zip(panels, hs)])
     if sub is None:
         y = yield t
     else:
-        scale, x_of, jac = sub
-        y = (yield scale * x_of(t)) * scale * jac(t)
+        end, w = sub
+        y = (yield end + w * np.square(t)) * abs(w) * (2.0 * t)
     y = y.reshape(len(panels), 37)
     return [
         (h * float(np.dot(_W25, row[:25])), h * float(np.dot(_W12, row[25:])))
@@ -284,42 +281,22 @@ def _adaptive(panels, tol, budget, sub=None):
 def _finite_steps(seg: Interval, tol: float, budget: int):
     """Adaptive rule over a finite segment.
 
-    Declared inverse-square-root endpoint singularities are removed by
-    the substitutions x = U sin(theta) (upper) and x = L cosh(t)
-    (lower) before refinement; logarithmic upper-endpoint singularities
-    get geometric panel refinement toward the endpoint.  An algebraic or
-    logarithmic singularity at zero is smoothed by x = U t^2 over
-    t in [0, 1]: an integrand O(x^q) with q > -1 becomes O(t^(2q+1)),
-    and x log x becomes t^3 log t (Davis & Rabinowitz, Methods of
-    Numerical Integration, 2nd ed., 1984, sec. 2.9).
+    A declared algebraic or logarithmic singularity at one end is
+    smoothed by x = end -+ (upper - lower) s^2 over s in [0, 1], with
+    end the singular endpoint: an integrand O(d^q) in the distance d to
+    that end, q > -1, becomes O(s^(2q+1)), so an inverse square root
+    becomes bounded, and log d becomes s log s (Davis & Rabinowitz,
+    Methods of Numerical Integration, 2nd ed., 1984, sec. 2.9).
     """
     lo, up = seg.lower, seg.upper
-    sub = None
-    if seg.singularity_hint == INVERSE_SQRT_AT_UPPER:
-        th0 = math.asin(min(1.0, lo / up)) if lo > 0.0 else 0.0
-        panels, sub = _quarters(th0, 0.5 * math.pi), (up, np.sin, np.cos)
-    elif seg.singularity_hint == INVERSE_SQRT_AT_LOWER:
-        if lo <= 0.0:
-            raise ValueError("inverse-sqrt-at-lower substitution needs lower > 0")
-        tmax = math.acosh(up / lo)
-        panels, sub = _quarters(0.0, tmax), (lo, np.cosh, np.sinh)
-    elif seg.singularity_hint == ALGEBRAIC_AT_ZERO:
-        panels, sub = _UNIT_QUARTERS, (up, np.square, lambda t: 2.0 * t)
-    elif seg.singularity_hint == LOG_AT_UPPER:
-        pts = [lo] + [up - (up - lo) * 0.5**j for j in range(1, 34)]  # geometric toward up
-        panels = list(zip(pts[:-1], pts[1:]))
+    if seg.singularity_hint == ALGEBRAIC_AT_LOWER:
+        panels, sub = _UNIT_QUARTERS, (lo, up - lo)
+    elif seg.singularity_hint == ALGEBRAIC_AT_UPPER:
+        panels, sub = _UNIT_QUARTERS, (up, -(up - lo))
     else:
-        panels = _quarters(lo, up)
+        panels, sub = _quarters(lo, up), None
     value, raw, ok, evals = yield from _adaptive(panels, tol, budget, sub)
-    extra_err = 0.0
-    if seg.singularity_hint == LOG_AT_UPPER:
-        # truncation of the last geometric sliver, integrable log
-        delta = up - pts[-1]
-        tail_mag = abs(float(np.max(np.abs((yield np.asarray([pts[-1]]))))))
-        extra_err = 2.0 * delta * (tail_mag + 1.0)
-        evals += 1
-    abs_err = min(2.0 * raw + extra_err, 10.0 * tol) if ok else 2.0 * raw + extra_err
-    abs_err = max(abs_err, 1e-16 * (1.0 + abs(value)))
+    abs_err = max(2.0 * raw, 1e-16 * (1.0 + abs(value)))
     converged = ok and abs_err <= tol
     return QuadResult(value, abs_err, evals, converged)
 

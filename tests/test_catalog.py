@@ -184,6 +184,20 @@ def test_chirped_entry_off_grid_within_its_bound(entry_id, params):
     assert err <= 5.0 * res.abs_err
 
 
+@pytest.mark.parametrize("entry_id", ["T11", "T22"])
+@pytest.mark.parametrize("grid_index", [0, 1, 2])
+def test_endpoint_singular_entry_converges_at_tight_tol(entry_id, grid_index):
+    # an inverse square root at the tail's lower end (T11) and a log at
+    # each piece's upper end (T22) are smoothed by x = end -+ w s^2, so
+    # even a tolerance far under the class one is met, and honestly
+    e = entry_by_id(entry_id)
+    P = e.default_grid[grid_index]
+    res = e.lhs(P, tol=1e-12)
+    err = abs(res.value - float(e.rhs(P)))
+    assert res.converged, (res, err)
+    assert err <= 5.0 * res.abs_err, (res, err)
+
+
 @pytest.mark.parametrize("nu", [-0.3, -0.45])
 def test_t16_below_minus_quarter_has_its_zeros(nu):
     # |nu| < 1/2 lets the Y_(2 nu) breaks have order 2 nu < -1/2, below

@@ -127,14 +127,43 @@ def test_flat_config_bad_key(tmp_path, run_cli):
     assert "unknown config key" in proc.stderr
 
 
+def _record_run_all(monkeypatch):
+    """Replace ``verify.run_all`` with one that runs no row and records the
+    failure seeds it was given."""
+    calls = []
+
+    def run_all(entries, failures, jobs=1, tol=None):
+        calls.append(failures)
+        return verify.Report((), (), tol, 0.0)
+
+    monkeypatch.setattr(verify, "run_all", run_all)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "line", ["tol=abc", "jobs=x", "group=x", "tol=0", "tol=nan", "jobs=0"]
+    "line",
+    ["tol=abc", "jobs=x", "group=x", "tol=0", "tol=nan", "jobs=0", "format=xml", "seeds=maybe"],
 )
-def test_flat_config_bad_value_is_usage_error(tmp_path, capsys, line):
+def test_flat_config_bad_value_is_usage_error(tmp_path, capsys, monkeypatch, line):
+    calls = _record_run_all(monkeypatch)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("entry=T01\n" + line + "\n")
     assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
     assert "config key" in capsys.readouterr().err
+    assert calls == []  # rejected before any row runs
+
+
+@pytest.mark.parametrize(
+    "value,with_seeds",
+    [("1", True), ("true", True), ("yes", True), ("0", False), ("false", False),
+     ("no", False), ("No", False)],
+)
+def test_flat_config_seeds_switch(tmp_path, monkeypatch, capsys, value, with_seeds):
+    calls = _record_run_all(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seeds={value}\n")
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_OK
+    assert [bool(failures) for failures in calls] == [with_seeds]
 
 
 @pytest.mark.parametrize(

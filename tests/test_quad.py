@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from hankel_dual.quad import (
     _EPSILON_WINDOW,
     _HINTS,
-    ALGEBRAIC_AT_ZERO,
-    INVERSE_SQRT_AT_LOWER,
-    INVERSE_SQRT_AT_UPPER,
-    LOG_AT_UPPER,
+    ALGEBRAIC_AT_LOWER,
+    ALGEBRAIC_AT_UPPER,
     Interval,
     OscillationSpec,
     epsilon_extrapolate,
@@ -130,8 +128,13 @@ def test_interval_validation():
         Interval.finite_from_zero(1.0, hint="bogus")
     assert Interval.full_half_line() == Interval.tail(0.0)
     assert not Interval.tail(3.0).is_finite
+    # an upper hint on a tail would land on the head's upper end, a kernel
+    # break and not a singularity; a lower hint on a tail is the head's
+    assert Interval.tail(2.0, ALGEBRAIC_AT_LOWER).singularity_hint == ALGEBRAIC_AT_LOWER
     with pytest.raises(ValueError):
-        Interval(0.5, 1.0, ALGEBRAIC_AT_ZERO)
+        Interval.tail(2.0, ALGEBRAIC_AT_UPPER)
+    with pytest.raises(ValueError):
+        Interval(0.0, math.inf, ALGEBRAIC_AT_UPPER)
 
 
 _BOUNDS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, math.inf]))
@@ -146,7 +149,7 @@ def test_interval_accepts_exactly_the_valid_ranges(lower, upper, hint):
     valid = (
         hint in _HINTS
         and 0.0 <= lower < upper
-        and (hint != ALGEBRAIC_AT_ZERO or lower == 0.0)
+        and (hint != ALGEBRAIC_AT_UPPER or upper < math.inf)
     )
     if not valid:
         with pytest.raises(ValueError):
@@ -207,7 +210,7 @@ def test_finite_additivity_fuzz():
 def test_inverse_sqrt_upper_hint():
     res = integrate_entry(
         lambda x: 1.0 / np.sqrt(1.0 - x**2),
-        Interval.finite_from_zero(1.0, INVERSE_SQRT_AT_UPPER),
+        Interval.finite_from_zero(1.0, ALGEBRAIC_AT_UPPER),
         tol=1e-10,
     )
     assert res.converged
@@ -217,28 +220,30 @@ def test_inverse_sqrt_upper_hint():
 def test_inverse_sqrt_lower_hint():
     res = integrate_entry(
         lambda x: 1.0 / np.sqrt(x**2 - 1.0),
-        Interval.segment(1.0, 2.0, INVERSE_SQRT_AT_LOWER),
+        Interval.segment(1.0, 2.0, ALGEBRAIC_AT_LOWER),
         tol=1e-10,
     )
     assert res.converged
     assert abs(res.value - math.acosh(2.0)) < 1e-10
 
 
-def test_log_upper_hint():
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_algebraic_upper_hint_log(tol):
     res = integrate_entry(
         lambda x: np.log1p(-x),
-        Interval.finite_from_zero(1.0, LOG_AT_UPPER),
-        tol=1e-8,
+        Interval.finite_from_zero(1.0, ALGEBRAIC_AT_UPPER),
+        tol=tol,
     )
     assert res.converged
     assert abs(res.value + 1.0) < 5e-9
+    assert abs(res.value + 1.0) <= 5.0 * res.abs_err
 
 
 def test_algebraic_at_zero_hint_log():
     # x = t^2 turns -x log x into -4 t^3 log t: smooth enough for the
     # Gauss-Legendre panels, so no bisection toward the log at zero
     f = lambda x: -x * np.log(x)
-    hinted = integrate_entry(f, Interval.segment(0.0, 1.0, ALGEBRAIC_AT_ZERO), tol=1e-13)
+    hinted = integrate_entry(f, Interval.segment(0.0, 1.0, ALGEBRAIC_AT_LOWER), tol=1e-13)
     plain = integrate_entry(f, Interval.segment(0.0, 1.0), tol=1e-13)
     assert hinted.converged
     assert abs(hinted.value - 0.25) < 1e-13
@@ -247,7 +252,7 @@ def test_algebraic_at_zero_hint_log():
 
 def test_algebraic_at_zero_hint_power():
     res = integrate_entry(
-        lambda x: x**-0.4, Interval.segment(0.0, 1.0, ALGEBRAIC_AT_ZERO), tol=1e-12
+        lambda x: x**-0.4, Interval.segment(0.0, 1.0, ALGEBRAIC_AT_LOWER), tol=1e-12
     )
     assert res.converged
     assert abs(res.value - 1.0 / 0.6) < 1e-12
