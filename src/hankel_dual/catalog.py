@@ -31,7 +31,7 @@ from .quad import (
     QuadResult,
 )
 from .specfun import bessel_zeros, struve_minus_y
-from .specfun import _legendre_p0_array, _legendre_q0_array
+from .specfun import _hyp2f1_terminating_array, _legendre_p0_array, _legendre_q0_array
 
 __all__ = [
     "ParamPoint",
@@ -209,17 +209,6 @@ def l1_l2(a, b, c):
     s1 = np.sqrt(a * a + (b + c) ** 2)
     s2 = np.sqrt(a * a + (b - c) ** 2)
     return 0.5 * (s1 - s2), 0.5 * (s1 + s2)
-
-
-def _hyp2f1_poly(a: float, n: int, c: float, x: np.ndarray) -> np.ndarray:
-    """Terminating 2F1(a, -n; c; x) for array x (degree-n polynomial)."""
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(n):
-        term = term * ((a + k) * (k - n) / ((c + k) * (k + 1.0))) * x
-        total = total + term
-    return total
 
 
 def _quartic(a: float, b: float, u: np.ndarray) -> np.ndarray:
@@ -1245,7 +1234,9 @@ def _build_entries() -> list:
         pieces=(Piece(
             integrand=lambda P: (lambda u: (
                 _sp.jv(P["nu"] - P["n"] - 1.0, u * P["t"])
-                * _hyp2f1_poly(P["nu"], int(P["n"]), P["nu"] - P["n"], (u / P["alpha"]) ** 2)
+                * _hyp2f1_terminating_array(
+                    P["nu"], int(P["n"]), P["nu"] - P["n"], (u / P["alpha"]) ** 2
+                )
                 * u ** (P["nu"] - P["n"])
             )),
             interval=lambda P: Interval.finite_from_zero(P["alpha"]),
@@ -1277,7 +1268,9 @@ def _build_entries() -> list:
         tol_class="Oscillatory",
         pieces=(Piece(
             integrand=lambda P: (lambda u: (
-                _hyp2f1_poly(P["mu"], int(P["n"]), P["mu"] - P["n"], (P["beta"] / u) ** 2)
+                _hyp2f1_terminating_array(
+                    P["mu"], int(P["n"]), P["mu"] - P["n"], (P["beta"] / u) ** 2
+                )
                 * u ** (P["n"] - P["mu"] + 1.0)
             )),
             interval=lambda P: Interval.tail(P["beta"]),

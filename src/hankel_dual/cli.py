@@ -98,7 +98,12 @@ def _config_value(cfg: dict, key: str, parse):
 
 
 def _read_config(path: str) -> dict:
-    """Flat key=value config; also accepts the JSON emitted by list --json."""
+    """Flat key=value config; also accepts the JSON emitted by list --json.
+
+    ``entry`` and ``seed`` map to id lists.  A flat key with an empty
+    value is unset; a JSON config always sets both lists, so an empty or
+    absent ``entries`` or ``failures`` list selects nothing.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -117,7 +122,7 @@ def _read_config(path: str) -> dict:
                 isinstance(e, dict) and isinstance(e.get("id"), str) for e in items
             ):
                 raise UsageError(f"bad JSON config {path!r}: each {section!r} item needs an 'id'")
-            out[key] = ",".join(e["id"] for e in items)
+            out[key] = [e["id"] for e in items]
         return out
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -130,12 +135,16 @@ def _read_config(path: str) -> dict:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = value.strip()
+        value = value.strip()
+        if key in ("entry", "seed"):
+            value = [i.strip() for i in value.split(",") if i.strip()]
+        if value:
+            out[key] = value
     return out
 
 
 def _select_entries(entry_ids, group) -> list:
-    if entry_ids:
+    if entry_ids is not None:
         return [catalog.entry_by_id(i) for i in entry_ids]
     entries = catalog.all_entries()
     if group is not None:
@@ -164,20 +173,19 @@ def _emit(text: str, out: Optional[str]):
             sys.stdout = open(os.devnull, "w")
 
 
-def _report_exit(report: verify.Report) -> int:
-    counts = report.counts
-    if counts[verify.FAIL]:
+def _exit_code(statuses) -> int:
+    """1 if any row is a Fail, else 2 if any is Inconclusive, else 0."""
+    statuses = set(statuses)
+    if verify.FAIL in statuses:
         return EXIT_FAIL
-    if counts[verify.INCONCLUSIVE]:
+    if verify.INCONCLUSIVE in statuses:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     cfg = _read_config(args.config) if args.config else {}
-    entry_ids = list(args.entry or [])
-    if not entry_ids and cfg.get("entry"):
-        entry_ids = [s for s in cfg["entry"].split(",") if s]
+    entry_ids = args.entry or cfg.get("entry")  # None: no selection
     group = args.group if args.group is not None else (
         _config_value(cfg, "group", int) if cfg.get("group") else None
     )
@@ -196,14 +204,12 @@ def _cmd_verify(args) -> int:
         with_seeds = False
 
     entries = _select_entries(entry_ids, group)
-    if entry_ids or group is not None:
-        failures = []
-    elif with_seeds:
+    if "seed" in cfg:
+        failures = [catalog.failure_by_id(s) for s in cfg["seed"]]
+    elif entry_ids is None and group is None and with_seeds:
         failures = catalog.all_failures()
     else:
         failures = []
-    if cfg.get("seed"):
-        failures = [catalog.failure_by_id(s) for s in cfg["seed"].split(",") if s]
 
     report = verify.run_all(entries, failures, jobs=jobs, tol=tol)
 
@@ -232,7 +238,7 @@ def _cmd_verify(args) -> int:
             f"({report.wall_seconds:.1f} s, jobs={jobs})"
         )
         _emit("\n".join(lines), out)
-    return _report_exit(report)
+    return _exit_code(r.status for r in report.rows + report.failure_rows)
 
 
 def _cmd_check(args) -> int:
@@ -250,9 +256,9 @@ def _cmd_check(args) -> int:
     from .hankel import check_condition
 
     control = check_condition(catalog.control_seed())
-    control_ok = control.admissible
+    control_status = verify.PASS if control.admissible else verify.FAIL
     lines.append(
-        f"{'Pass' if control_ok else 'Fail':12s} control   "
+        f"{control_status:12s} control   "
         f"admissible={control.admissible} (exp(-x))"
     )
     if args.json:
@@ -260,17 +266,12 @@ def _cmd_check(args) -> int:
             "schema_version": verify.SCHEMA_VERSION,
             "kind": "condition_report",
             "rows": [r.as_dict() for r in rows],
-            "control_admissible": control_ok,
+            "control_admissible": control.admissible,
         }
         _emit(json.dumps(doc, indent=2), args.out)
     else:
         _emit("\n".join(lines), args.out)
-    statuses = [r.status for r in rows]
-    if verify.FAIL in statuses or not control_ok:
-        return EXIT_FAIL
-    if verify.INCONCLUSIVE in statuses:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _exit_code([r.status for r in rows] + [control_status])
 
 
 def _cmd_list(args) -> int:

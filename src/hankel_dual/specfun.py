@@ -236,25 +236,36 @@ def struve_minus_y(nu, x):
     return out if out.ndim else float(out)
 
 
+def _hyp2f1_terminating_array(a: float, n: int, c: float, x) -> np.ndarray:
+    """Terminating 2F1(a, -n; c; x) for array x (degree-n polynomial).
+
+    The unchecked core of :func:`hyp2f1_terminating`, for callers that
+    evaluate one parameter set on many x.
+    """
+    x = np.asarray(x, dtype=float)
+    total = np.ones_like(x)
+    term = np.ones_like(x)
+    for k in range(n):
+        term = term * ((a + k) * (k - n) / ((c + k) * (k + 1.0))) * x
+        total = total + term
+    return total
+
+
 def hyp2f1_terminating(a, n, c, x) -> SpecialValue:
     """Terminating Gauss hypergeometric sum 2F1(a, -n; c; x).
 
-    Exact finite sum of n+1 terms; n must be a non-negative integer.
+    Exact finite sum of n+1 terms; n must be a non-negative integer and
+    c + k must not vanish for any k < n.
     """
     a, c, x = float(a), float(c), float(x)
     n = int(n)
     if n < 0:
         raise ParameterError("hyp2f1_terminating requires n >= 0")
-    total = 1.0
-    term = 1.0
-    for k in range(n):
-        denom = c + k
-        if denom == 0.0:
-            raise ParameterError(
-                f"hyp2f1_terminating: c={c} hits a non-positive integer"
-            )
-        term *= (a + k) * (-n + k) / denom * x / (k + 1)
-        total += term
+    if any(c + k == 0.0 for k in range(n)):
+        raise ParameterError(
+            f"hyp2f1_terminating: c={c} hits a non-positive integer"
+        )
+    total = float(_hyp2f1_terminating_array(a, n, c, x))
     return SpecialValue(total, 1e-14 * (1.0 + abs(total)))
 
 

@@ -11,16 +11,21 @@ side against its closed-form right-hand side at one grid point:
 Failure-seed rows check the integrability condition instead: ``Pass``
 means the verdict (inadmissible, at the documented endpoint) matches the
 catalog's expectation.
+
+A row field declared ``compare=False`` (the row's ``seconds``) is neither
+compared nor reported: row equality and the report keys both come from
+the compared fields, so timings never change a report or its v1 schema.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from . import catalog
@@ -43,6 +48,17 @@ PASS = "Pass"
 FAIL = "Fail"
 INCONCLUSIVE = "Inconclusive"
 
+_CSV_COLUMNS = (
+    "row_kind", "id", "grid_index", "params", "status", "lhs", "rhs",
+    "rel_err", "quad_abs_err", "tolerance", "evaluations",
+    "tol_class", "expected_endpoint", "failing_endpoint", "provenance",
+)
+
+
+def _reported(row) -> dict:
+    """The row's compared fields in declaration order: its report keys."""
+    return {f.name: getattr(row, f.name) for f in fields(row) if f.compare}
+
 
 @dataclass(frozen=True)
 class VerificationRow:
@@ -61,20 +77,7 @@ class VerificationRow:
     seconds: float = field(compare=False, default=0.0)
 
     def as_dict(self) -> dict:
-        return {
-            "entry_id": self.entry_id,
-            "grid_index": self.grid_index,
-            "params": self.params,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rel_err": self.rel_err,
-            "quad_abs_err": self.quad_abs_err,
-            "tolerance": self.tolerance,
-            "evaluations": self.evaluations,
-            "tol_class": self.tol_class,
-            "provenance": self.provenance,
-        }
+        return _reported(self)
 
 
 @dataclass(frozen=True)
@@ -90,16 +93,7 @@ class FailureRow:
     seconds: float = field(compare=False, default=0.0)
 
     def as_dict(self) -> dict:
-        return {
-            "seed_id": self.seed_id,
-            "status": self.status,
-            "admissible": self.admissible,
-            "failing_endpoint": self.failing_endpoint,
-            "expected_endpoint": self.expected_endpoint,
-            "zero_exponent": self.zero_exponent,
-            "inf_exponent": self.inf_exponent,
-            "provenance": self.provenance,
-        }
+        return _reported(self)
 
 
 @dataclass(frozen=True)
@@ -137,25 +131,17 @@ class Report:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([
-            "row_kind", "id", "grid_index", "params", "status", "lhs", "rhs",
-            "rel_err", "quad_abs_err", "tolerance", "evaluations",
-            "tol_class", "expected_endpoint", "failing_endpoint", "provenance",
-        ])
+        writer = csv.DictWriter(
+            buf, _CSV_COLUMNS, extrasaction="ignore", lineterminator="\n"
+        )
+        writer.writeheader()
         for r in self.rows:
             params = ";".join(f"{k}={v:g}" for k, v in sorted(r.params.items()))
-            writer.writerow([
-                "entry", r.entry_id, r.grid_index, params, r.status,
-                repr(r.lhs), repr(r.rhs), repr(r.rel_err), repr(r.quad_abs_err),
-                repr(r.tolerance), r.evaluations, r.tol_class, "", "", r.provenance,
-            ])
+            writer.writerow(
+                {**r.as_dict(), "row_kind": "entry", "id": r.entry_id, "params": params}
+            )
         for r in self.failure_rows:
-            writer.writerow([
-                "failure_seed", r.seed_id, "", "", r.status, "", "", "", "",
-                "", "", "", r.expected_endpoint, r.failing_endpoint or "",
-                r.provenance,
-            ])
+            writer.writerow({**r.as_dict(), "row_kind": "failure_seed", "id": r.seed_id})
         return buf.getvalue()
 
 
@@ -201,28 +187,20 @@ def verify_failure(seed: catalog.FailureSeed) -> FailureRow:
     try:
         verdict = check_condition(seed.seed)
     except InconclusiveConditionError:
-        return FailureRow(
-            seed_id=seed.id,
-            status=INCONCLUSIVE,
-            admissible=None,
-            failing_endpoint=None,
-            expected_endpoint=seed.expected_endpoint,
-            zero_exponent=None,
-            inf_exponent=None,
-            provenance=seed.provenance,
-            seconds=time.perf_counter() - t0,
-        )
-    ok = (not verdict.admissible) and (
-        verdict.failing_endpoint == seed.expected_endpoint
-    )
+        status, admissible, endpoint, p_zero, p_inf = INCONCLUSIVE, None, None, None, None
+    else:
+        admissible, endpoint = verdict.admissible, verdict.failing_endpoint
+        p_zero, p_inf = verdict.zero_exponent, verdict.inf_exponent
+        ok = not admissible and endpoint == seed.expected_endpoint
+        status = PASS if ok else FAIL
     return FailureRow(
         seed_id=seed.id,
-        status=PASS if ok else FAIL,
-        admissible=verdict.admissible,
-        failing_endpoint=verdict.failing_endpoint,
+        status=status,
+        admissible=admissible,
+        failing_endpoint=endpoint,
         expected_endpoint=seed.expected_endpoint,
-        zero_exponent=verdict.zero_exponent,
-        inf_exponent=verdict.inf_exponent,
+        zero_exponent=p_zero,
+        inf_exponent=p_inf,
         provenance=seed.provenance,
         seconds=time.perf_counter() - t0,
     )
@@ -236,9 +214,10 @@ def run_all(
 ) -> Report:
     """Run entries (and failure seeds) and return a canonical report.
 
-    Rows are ordered by catalog document order then grid index
-    regardless of the number of worker threads, so parallel and serial
-    runs produce identical reports.
+    Rows run on ``jobs`` worker threads (one thread at ``jobs=1``) and
+    are ordered by catalog document order then grid index regardless of
+    the number of threads, so runs at any ``jobs`` produce identical
+    reports.
     """
     if entries is None and failures is None:
         entries = catalog.all_entries()
@@ -249,19 +228,12 @@ def run_all(
     entries.sort(key=lambda e: order.get(e.id, len(order)))
 
     t0 = time.perf_counter()
-    if jobs <= 1:
-        entry_rows = [verify_entry(e, tol) for e in entries]
-        failure_rows = [verify_failure(s) for s in failures]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entry_futs = [pool.submit(verify_entry, e, tol) for e in entries]
-            failure_futs = [pool.submit(verify_failure, s) for s in failures]
-            entry_rows = [f.result() for f in entry_futs]
-            failure_rows = [f.result() for f in failure_futs]
-    rows = tuple(r for group in entry_rows for r in group)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        entry_groups = pool.map(verify_entry, entries, itertools.repeat(tol))
+        failure_rows = tuple(pool.map(verify_failure, failures))
     return Report(
-        rows=rows,
-        failure_rows=tuple(failure_rows),
+        rows=tuple(r for group in entry_groups for r in group),
+        failure_rows=failure_rows,
         tolerance_override=tol,
         wall_seconds=time.perf_counter() - t0,
     )

@@ -112,11 +112,13 @@ def test_verify_csv_output(run_cli):
 
 def test_flat_config(tmp_path, run_cli):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nentry=T03,T21\nformat=csv\ntol=1e-5\n")
-    proc = run_cli("verify", "--config", str(cfg))
-    assert proc.returncode == cli.EXIT_OK
-    body = proc.stdout.splitlines()[1:]
-    assert all(line.split(",")[1] in ("T03", "T21") for line in body if line)
+    # blanks around an id are not part of it
+    for ids in ("T03,T21", "T03, T21"):
+        cfg.write_text(f"# comment\nentry={ids}\nformat=csv\ntol=1e-5\n")
+        proc = run_cli("verify", "--config", str(cfg))
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        body = proc.stdout.splitlines()[1:]
+        assert {line.split(",")[1] for line in body if line} == {"T03", "T21"}
 
 
 def test_flat_config_bad_key(tmp_path, run_cli):
@@ -199,6 +201,14 @@ def test_json_config_roundtrip(tmp_path, run_cli):
     assert proc.returncode == cli.EXIT_OK
     report = json.loads(proc.stdout)
     assert {r["entry_id"] for r in report["rows"]} == {"T03", "T23"}
+    assert [r["seed_id"] for r in report["failure_rows"]] == ["S6514_1"]
+    # an empty id list selects nothing, as a list of ids selects those ids
+    doc["entries"] = []
+    cfg.write_text(json.dumps(doc))
+    proc = run_cli("verify", "--config", str(cfg), "--format", "json")
+    assert proc.returncode == cli.EXIT_OK
+    report = json.loads(proc.stdout)
+    assert report["rows"] == []
     assert [r["seed_id"] for r in report["failure_rows"]] == ["S6514_1"]
 
 

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from hankel_dual import catalog, verify
+from hankel_dual.hankel import SeedFunction
 
 
 def corrupted(entry):
@@ -81,33 +82,65 @@ def test_report_counts_and_exit_state():
     assert report.all_passed
 
 
+ENTRY_KEYS = {
+    "entry_id", "grid_index", "params", "status", "lhs", "rhs",
+    "rel_err", "quad_abs_err", "tolerance", "evaluations",
+    "tol_class", "provenance",
+}
+FAILURE_KEYS = {
+    "seed_id", "status", "admissible", "failing_endpoint", "expected_endpoint",
+    "zero_exponent", "inf_exponent", "provenance",
+}
+CSV_HEADER = [
+    "row_kind", "id", "grid_index", "params", "status", "lhs", "rhs",
+    "rel_err", "quad_abs_err", "tolerance", "evaluations",
+    "tol_class", "expected_endpoint", "failing_endpoint", "provenance",
+]
+
+
+def schema_report():
+    """T02a's rows, a Pass failure row and an Inconclusive one."""
+    # x^-1.5 at zero sits on the condition's threshold, and nothing is
+    # declared, so the estimated exponent decides nothing
+    edge = catalog.FailureSeed(
+        id="X_edge",
+        provenance="test",
+        description="x^-1.5",
+        expected_endpoint="Zero",
+        seed=SeedFunction(lambda x: x ** -1.5),
+    )
+    return verify.run_all(
+        [catalog.entry_by_id("T02a")], [catalog.failure_by_id("S6512_1a"), edge]
+    )
+
+
 def test_json_schema():
-    report = verify.run_all([catalog.entry_by_id("T02a")], [])
-    doc = json.loads(report.to_json())
+    doc = json.loads(schema_report().to_json())
     assert doc["schema_version"] == verify.SCHEMA_VERSION
     assert doc["kind"] == "verification_report"
     assert set(doc["summary"]) == {"Pass", "Fail", "Inconclusive"}
-    row = doc["rows"][0]
-    assert set(row) == {
-        "entry_id", "grid_index", "params", "status", "lhs", "rhs",
-        "rel_err", "quad_abs_err", "tolerance", "evaluations",
-        "tol_class", "provenance",
-    }
+    assert set(doc["rows"][0]) == ENTRY_KEYS
+    assert [r["status"] for r in doc["failure_rows"]] == ["Pass", "Inconclusive"]
+    for row in doc["failure_rows"]:
+        assert set(row) == FAILURE_KEYS
+    assert doc["failure_rows"][1]["failing_endpoint"] is None
 
 
 def test_csv_schema():
-    report = verify.run_all(
-        [catalog.entry_by_id("T02a")], [catalog.failure_by_id("S6512_1a")]
-    )
-    rows = list(csv.reader(io.StringIO(report.to_csv())))
-    assert rows[0][:5] == ["row_kind", "id", "grid_index", "params", "status"]
+    rows = list(csv.reader(io.StringIO(schema_report().to_csv())))
+    assert rows[0] == CSV_HEADER
     kinds = {r[0] for r in rows[1:]}
     assert kinds == {"entry", "failure_seed"}
     for r in rows[1:]:
+        assert len(r) == len(CSV_HEADER)
         if r[0] == "entry":
             float(r[5])  # lhs parses as a plain float
             float(r[7])  # rel_err too
             assert r[4] == "Pass"
+    edge = dict(zip(CSV_HEADER, rows[-1]))
+    assert (edge["id"], edge["status"]) == ("X_edge", "Inconclusive")
+    assert edge["failing_endpoint"] == ""
+    assert edge["expected_endpoint"] == "Zero"
 
 
 def test_tolerance_override_recorded():
