@@ -6,20 +6,20 @@ int_0^inf sqrt(x) |F(x)| dx < inf, which translates into envelope
 power-law exponents: the amplitude of F must grow slower than x^{-3/2}
 at zero and decay faster than x^{-3/2} at infinity.
 
-Both transforms run ``quad``'s one integration path (``quad.steps``
-and ``quad.drive``).  A compact seed's forward transform is integrated
-over [0, support_upper], every other one and every inverse over
-[0, inf) by the oscillatory rule, which picks its own extrapolation: no
-caller tells it where F jumps.  The forward transforms at all u of one
-inverse node request run in lockstep, one generator per u, sharing one
-F call and one kernel evaluation per step.
+Both transforms run ``quad``'s two rules.  A compact seed's forward
+transform is integrated over [0, support_upper] by the finite rule, every
+other one and every inverse over [0, inf) by the oscillatory rule, which
+picks its own extrapolation: no caller tells it where F jumps.  The
+forward transforms at all u of one inverse node request are one batch of
+rows, one row per u, sharing one F call and one kernel evaluation per
+step.
 
 A non-compact seed's forward runs in t = b x:
 G(b) = b^-2 int_0^inf t F(t/b) J_nu(t) dt.  There the kernel, its zeros
 and the lobe nodes do not depend on b, and the head [0, max(b, 10)]
 (which is [0, max(1, 10/b)] in x) snaps to the same kernel zeros, so
 every b whose head snaps to the same zero starts from the same panels.
-J_nu is therefore kept in one table per order, keyed by a request's
+J_nu is therefore kept in one table per order, keyed by a row's
 node array: each distinct array costs one ``jv`` evaluation for the
 whole process, and a round trip's forwards come back to the same few
 hundred arrays pass after pass.  The head is integrated in
@@ -188,13 +188,13 @@ def _forward_frame(F: SeedFunction, nu: float, b: float):
 _KERNEL_TABLES: dict[float, dict[bytes, np.ndarray]] = {}
 
 
-def _tabled_jv(nu: float, requests) -> np.ndarray:
-    """J_nu at the concatenated node arrays, each looked up in the order's
-    table; every array not yet there is filled by one jv call and stored
+def _tabled_jv(nu: float, nodes: np.ndarray) -> np.ndarray:
+    """J_nu at a node array, each row of nodes looked up in the order's
+    table; every row not yet there is filled by one jv call and stored
     read-only.  Two threads that fill the same key store equal arrays."""
     table = _KERNEL_TABLES.setdefault(nu, {})
-    keys = [t.tobytes() for t in requests]
-    missing = {k: t for k, t in zip(keys, requests) if k not in table}
+    keys = [t.tobytes() for t in nodes]
+    missing = {k: t for k, t in zip(keys, nodes) if k not in table}
     if missing:
         fresh = sp.jv(nu, np.concatenate(list(missing.values())))
         fresh.flags.writeable = False
@@ -202,31 +202,33 @@ def _tabled_jv(nu: float, requests) -> np.ndarray:
         for k, t in missing.items():
             table[k] = fresh[end:end + t.size]
             end += t.size
-    return np.concatenate([table[k] for k in keys])
+    return np.concatenate([table[k] for k in keys]).reshape(nodes.shape)
 
 
 def _forwards(F: SeedFunction, nu: float, bs, tol: float) -> list[QuadResult]:
-    """G(b) at every b in bs, one integration generator per b.  Each step
-    answers every live generator's request from one F call and one J_nu
-    lookup, so each b gets exactly the result it would get on its own."""
+    """G(b) at every b in bs, as one batch of ``quad`` rows, one row per b:
+    the finite rule for a compact seed, the oscillatory rule in t = b x for
+    any other.  Each step evaluates every live row from one F call and one
+    J_nu evaluation (a table lookup in t), and each b gets exactly the
+    result it would get on its own."""
     frames = [_forward_frame(F, nu, b) for b in bs]
-    gens = [quad.steps(iv, osc, tol, head) for iv, osc, head, _ in frames]
     freq, t_per_x = np.asarray([(osc.frequency, s) for _, osc, _, s in frames]).T
     weight = 1.0 / (t_per_x * t_per_x)
     compact = F.support_upper is not None
 
-    def values(live, requests):
-        sizes = [t.size for t in requests]
-        T = np.concatenate(requests)
+    def values(rows, T):
+        rows = np.asarray(rows)
         if compact:
-            kernel = sp.jv(nu, np.repeat(freq[live], sizes) * T)
+            kernel = sp.jv(nu, freq[rows, None] * T)
         else:
-            kernel = _tabled_jv(nu, requests)
-        Y = T * F(T / np.repeat(t_per_x[live], sizes)) * np.repeat(weight[live], sizes) * kernel
-        ends = np.cumsum(sizes).tolist()
-        return [Y[end - n:end] for end, n in zip(ends, sizes)]
+            kernel = _tabled_jv(nu, T)
+        X = T / t_per_x[rows, None]
+        return T * F(X.ravel()).reshape(T.shape) * weight[rows, None] * kernel
 
-    return quad.drive(gens, values)
+    if compact:
+        return quad.integrate_finite(values, [iv for iv, *_ in frames], tol)
+    iv, osc = frames[0][:2]
+    return quad.integrate_oscillatory_tail(values, iv, osc, tol, [head for _, _, head, _ in frames])
 
 
 def hankel_forward(F: SeedFunction, nu: float, b: float, tol: float = 1e-9) -> QuadResult:
@@ -269,7 +271,7 @@ def dual_roundtrip(
     The inverse converges to F(r) at continuity points and to the jump
     midpoint where F jumps, so there the residual against F(r) is half
     the jump.  Nothing about the seed's support or jumps is passed to
-    the inverse.  G runs the forwards at one node request's u in lockstep.
+    the inverse.  G runs the forwards at one node request's u as one batch.
     """
     _require_admissible(F)
     inner_tol = max(tol * 1e-4, 1e-11)

@@ -9,16 +9,19 @@ Wynn's epsilon algorithm, for sums that alternate, and a constant-phase
 fit in inverse powers of the truncation point, for sums that do not,
 side by side; the first to converge gives the result.
 
-Both rules are generators that yield the nodes where they need the full
-integrand and are sent its values there.  ``steps`` is the one place
-that picks a rule for an interval, and ``drive`` runs any number of
-such generators in lockstep: ``integrate_entry`` drives one, and
-``hankel`` drives one per transform argument and answers all of them
-with one evaluation per step.
+Both rules integrate a batch of rows, each row its own integral, and
+return one result per row.  The integrand is called as f(rows, nodes),
+once per step for every row still running, with one row of nodes per
+row; all other state (bisection heaps, partial sums, extrapolation
+tables) is kept row by row, so each row gets exactly the result it would
+get alone.  ``integrate_entry`` is a batch of one row; ``hankel``
+integrates all forward transforms of one inverse node request as one
+batch.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -34,8 +37,8 @@ __all__ = [
     "QuadResult",
     "OscillationSpec",
     "epsilon_extrapolate",
-    "steps",
-    "drive",
+    "integrate_finite",
+    "integrate_oscillatory_tail",
     "integrate_entry",
 ]
 
@@ -137,30 +140,6 @@ _T25 = _X25 + 1.0
 _T37 = np.concatenate([_X25, _X12]) + 1.0
 
 
-def drive(gens, f) -> list:
-    """Run integration generators in lockstep; return their results in order.
-
-    Each step sends every live generator the values at its last request
-    and collects its next request.  ``f(live, requests)`` answers the
-    requests of the generators at indices ``live``, one value array per
-    request, so a caller can evaluate them all at once.
-    """
-    results = [None] * len(gens)
-    live, values = range(len(gens)), [None] * len(gens)
-    while live:
-        still, requests = [], []
-        for k, y in zip(live, values):
-            try:
-                requests.append(gens[k].send(y))
-                still.append(k)
-            except StopIteration as stop:
-                results[k] = stop.value
-        live = still
-        if live:
-            values = f(live, requests)
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Wynn epsilon extrapolation
 # ---------------------------------------------------------------------------
@@ -225,88 +204,130 @@ def epsilon_extrapolate(partial_sums) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _panel_sums(panels, sub):
-    """Request the 37 nodes of every panel at once; returns each panel's
-    (25-point, 12-point) sums.  ``sub`` = (end, w) substitutes
-    x = end + w*s^2, whose integrand is f(x)*|w|*2s."""
-    hs = [0.5 * (b - a) for a, b in panels]
-    t = np.concatenate([a + h * _T37 for (a, _), h in zip(panels, hs)])
+def _panel_sums(f, rows, panels, sub):
+    """Each row's (25-point, 12-point) sums over its panels, from one call
+    ``f(rows, x)`` at the 37 nodes of every panel.  ``sub`` = (ends, ws),
+    arrays over all rows, substitutes x = end + w*s^2, whose integrand is
+    f(x)*|w|*2s."""
+    ab = np.asarray(panels)
+    a = ab[..., 0]
+    h = 0.5 * (ab[..., 1] - a)
+    t = (a[..., None] + h[..., None] * _T37).reshape(len(rows), -1)
     if sub is None:
-        y = yield t
+        y = f(rows, t)
     else:
-        end, w = sub
-        y = (yield end + w * np.square(t)) * abs(w) * (2.0 * t)
-    y = y.reshape(len(panels), 37)
-    return [
-        (h * float(np.dot(_W25, row[:25])), h * float(np.dot(_W12, row[25:])))
-        for h, row in zip(hs, y)
-    ]
+        end, w = sub[0][rows, None], sub[1][rows, None]
+        y = f(rows, end + w * np.square(t)) * np.abs(w) * (2.0 * t)
+    y = y.reshape(h.shape + (37,))
+    return (h * np.vecdot(y[..., :25], _W25)).tolist(), (h * np.vecdot(y[..., 25:], _W12)).tolist()
 
 
-def _adaptive(panels, tol, budget, sub=None):
-    """Heap-driven bisection refinement over initial panel list.
+class _Bisection:
+    """One row of the adaptive rule: its panels in a heap by error, and
+    the running sums of their values and errors."""
 
-    Returns (value, raw error estimate, converged flag, evaluations).
-    """
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    serial = 0
-    for (a, b), (i25, i12) in zip(panels, (yield from _panel_sums(panels, sub))):
-        e = abs(i25 - i12)
-        total += i25
-        total_err += e
-        heapq.heappush(heap, (-e, serial, a, b, i25))
-        serial += 1
-    target = 0.35 * tol
-    while total_err > target and 37 * serial < budget and heap:
-        nege, _, a, b, i25 = heapq.heappop(heap)
+    __slots__ = ("heap", "total", "err", "serial", "sub")
+
+    def __init__(self, sub):
+        self.heap, self.total, self.err, self.serial = [], 0.0, 0.0, 0
+        self.sub = sub  # (end, w) of x = end + w*s^2, or None
+
+    def add(self, panels, sums25, sums12):
+        for (a, b), i25, i12 in zip(panels, sums25, sums12):
+            e = abs(i25 - i12)
+            self.total += i25
+            self.err += e
+            heapq.heappush(self.heap, (-e, self.serial, a, b, i25))
+            self.serial += 1
+
+    def split(self, target, budget):
+        """Take out the panel of largest error and return its two halves;
+        None once the row is done: within ``target``, out of budget, or at
+        a panel that cannot be split."""
+        if not (self.err > target and 37 * self.serial < budget and self.heap):
+            return None
+        nege, _, a, b, i25 = heapq.heappop(self.heap)
         e = -nege
-        if e <= 0.0 or (b - a) < 1e-15 * (abs(a) + abs(b) + 1.0):
-            total_err = max(total_err, e)
-            break
-        total -= i25
-        total_err -= e
         m = 0.5 * (a + b)
-        halves = ((a, m), (m, b))
-        for (aa, bb), (i25n, i12n) in zip(halves, (yield from _panel_sums(halves, sub))):
-            en = abs(i25n - i12n)
-            total += i25n
-            total_err += en
-            heapq.heappush(heap, (-en, serial, aa, bb, i25n))
-            serial += 1
-    return total, total_err, total_err <= tol, 37 * serial
+        if e <= 0.0 or (b - a) < 1e-15 * (abs(a) + abs(b) + 1.0) or self._reaches_end(a, m):
+            self.err = max(self.err, e)
+            return None
+        self.total -= i25
+        self.err -= e
+        return [(a, m), (m, b)]
+
+    def _reaches_end(self, a, m):
+        """Whether the node of [a, m] nearest s = 0 rounds onto the
+        substituted end, where the integrand may be infinite."""
+        if self.sub is None:
+            return False
+        end, w = self.sub
+        s = a + 0.5 * (m - a) * _T37_MIN
+        return end + w * (s * s) == end
+
+    def result(self, tol) -> QuadResult:
+        value, raw = self.total, self.err
+        abs_err = max(2.0 * raw, 1e-16 * (1.0 + abs(value)))
+        return QuadResult(value, abs_err, 37 * self.serial, raw <= tol and abs_err <= tol)
 
 
-def _finite_steps(seg: Interval, tol: float, budget: int):
-    """Adaptive rule over a finite segment.
+def integrate_finite(f, segments, tol: float, budget: int = DEFAULT_BUDGET) -> list:
+    """Adaptive Gauss-Legendre rule over finite segments, one row each;
+    returns one QuadResult per segment.
 
-    A declared algebraic or logarithmic singularity at one end is
-    smoothed by x = end -+ (upper - lower) s^2 over s in [0, 1], with
-    end the singular endpoint: an integrand O(d^q) in the distance d to
-    that end, q > -1, becomes O(s^(2q+1)), so an inverse square root
-    becomes bounded, and log d becomes s log s (Davis & Rabinowitz,
-    Methods of Numerical Integration, 2nd ed., 1984, sec. 2.9).
+    ``f(rows, x)`` returns the integrand at a node array x with one row of
+    nodes for each index in ``rows``.  Each row starts from four equal
+    panels and then bisects its panel of largest error, one per step, so
+    a step is one call of ``f`` for all rows still refining, and every row
+    gets the result it would get alone.
+
+    The segments share one singularity hint.  A declared algebraic or
+    logarithmic singularity at one end is smoothed by
+    x = end -+ (upper - lower) s^2 over s in [0, 1], with end the singular
+    endpoint: an integrand O(d^q) in the distance d to that end, q > -1,
+    becomes O(s^(2q+1)), so an inverse square root becomes bounded, and
+    log d becomes s log s (Davis & Rabinowitz, Methods of Numerical
+    Integration, 2nd ed., 1984, sec. 2.9).  A substituted panel whose
+    nodes would round onto the end is not split.
     """
-    lo, up = seg.lower, seg.upper
-    if seg.singularity_hint == ALGEBRAIC_AT_LOWER:
-        panels, sub = _UNIT_QUARTERS, (lo, up - lo)
-    elif seg.singularity_hint == ALGEBRAIC_AT_UPPER:
-        panels, sub = _UNIT_QUARTERS, (up, -(up - lo))
+    hint = segments[0].singularity_hint
+    if any(seg.singularity_hint != hint for seg in segments):
+        raise ValueError("the segments of one call must share one singularity hint")
+    if hint is None:
+        sub = None
+        panels = [_quarters(seg.lower, seg.upper) for seg in segments]
+        rows = [_Bisection(None) for _ in segments]
     else:
-        panels, sub = _quarters(lo, up), None
-    value, raw, ok, evals = yield from _adaptive(panels, tol, budget, sub)
-    abs_err = max(2.0 * raw, 1e-16 * (1.0 + abs(value)))
-    converged = ok and abs_err <= tol
-    return QuadResult(value, abs_err, evals, converged)
+        lo = np.asarray([seg.lower for seg in segments])
+        up = np.asarray([seg.upper for seg in segments])
+        sub = (lo, up - lo) if hint == ALGEBRAIC_AT_LOWER else (up, -(up - lo))
+        panels = [_UNIT_QUARTERS] * len(segments)
+        rows = [_Bisection(end_w) for end_w in zip(*(v.tolist() for v in sub))]
+    target = 0.35 * tol
+    live = list(range(len(segments)))
+    while live:
+        sums25, sums12 = _panel_sums(f, live, panels, sub)
+        still, halves = [], []
+        for k, p, s25, s12 in zip(live, panels, sums25, sums12):
+            rows[k].add(p, s25, s12)
+            split = rows[k].split(target, budget)
+            if split is not None:
+                still.append(k)
+                halves.append(split)
+        live, panels = still, halves
+    return [row.result(tol) for row in rows]
 
 
-def _quarters(a, b):
-    edges = np.linspace(a, b, 5)
+def _quarters(lo, up):
+    """[lo, up] as four equal panels, with the edges of np.linspace(lo, up, 5)."""
+    step = 0.25 * (up - lo)
+    edges = [lo + k * step for k in (0.0, 1.0, 2.0, 3.0)] + [up]
     return list(zip(edges[:-1], edges[1:]))
 
 
 _UNIT_QUARTERS = tuple(_quarters(0.0, 1.0))
+# the node of a panel [a, a + 2h] nearest a is a + h * _T37_MIN
+_T37_MIN = float(_T37.min())
 
 
 # ---------------------------------------------------------------------------
@@ -315,41 +336,53 @@ _UNIT_QUARTERS = tuple(_quarters(0.0, 1.0))
 
 
 class _BreakStream:
-    """Merged, increasing stream of kernel zeros and extra break points."""
+    """Merged, increasing stream of kernel zeros and extra break points,
+    with the Gauss-Legendre nodes of the lobes between them.
+
+    ``points`` lists the break points (the 0-th is the start), lobe j is
+    [points[j], points[j + 1]] with half width ``half_widths[j]`` and
+    nodes ``nodes[j]``, and ``zeros_passed[j]`` counts the kernel zeros
+    at or below points[j].
+    """
 
     def __init__(self, osc: OscillationSpec, start: float):
         self.osc = osc
         self._n = 0
-        self._kernel = np.empty(0)
-        self._merged = [start]
+        self.points = [start]
 
-    def get(self, i: int) -> float:
-        """i-th break point at or beyond start (0-th is start itself).
-
-        Each growth step computes 96 more kernel zeros and 96 more extra
-        breaks and lists the merged points only up to the smaller of the
-        two sequences' last computed points, where neither has a gap, and
-        drops any point within 0.05 pi / frequency of the one before.
-        """
+    def _grow(self):
+        """Compute 96 more kernel zeros and 96 more extra breaks and list
+        the merged points only up to the smaller of the two sequences'
+        last computed points, where neither has a gap, dropping any point
+        within 0.05 pi / frequency of the one before."""
         osc = self.osc
-        while len(self._merged) <= i:
-            self._n += 96
-            self._kernel = bessel_zeros(osc.bessel_order, self._n, osc.kind) / osc.frequency
-            pts, end = self._kernel, self._kernel[-1]
-            if osc.extra_breaks is not None:
-                extra = np.asarray(osc.extra_breaks(self._n), dtype=float)
-                pts, end = np.concatenate([pts, extra]), min(end, extra[-1])
-            keep = self._merged[:1]
-            min_gap = 0.05 * math.pi / osc.frequency
-            for p in np.sort(pts[pts <= end]).tolist():
-                if p - keep[-1] > min_gap:
-                    keep.append(p)
-            self._merged = keep
-        return self._merged[i]
+        self._n += 96
+        kernel = bessel_zeros(osc.bessel_order, self._n, osc.kind) / osc.frequency
+        pts, end = kernel, kernel[-1]
+        if osc.extra_breaks is not None:
+            extra = np.asarray(osc.extra_breaks(self._n), dtype=float)
+            pts, end = np.concatenate([pts, extra]), min(end, extra[-1])
+        keep = self.points[:1]
+        min_gap = 0.05 * math.pi / osc.frequency
+        for p in np.sort(pts[pts <= end]).tolist():
+            if p - keep[-1] > min_gap:
+                keep.append(p)
+        self.points = keep
+        x = np.asarray(keep)
+        self.half_widths = 0.5 * (x[1:] - x[:-1])
+        self.nodes = x[:-1, None] + self.half_widths[:, None] * _T25
+        self.zeros_passed = kernel.searchsorted(x * (1.0 + 1e-12), side="right").tolist()
 
-    def kernel_zeros_through(self, x: float) -> int:
-        """Number of kernel zeros at or below a break point x."""
-        return int(self._kernel.searchsorted(x * (1.0 + 1e-12), side="right"))
+    def through(self, j: int):
+        """Make lobe j available."""
+        while len(self.points) <= j + 1:
+            self._grow()
+
+    def snap(self, x: float) -> int:
+        """Index of the first break point at or beyond x."""
+        while self.points[-1] < x:
+            self._grow()
+        return bisect.bisect_left(self.points, x)
 
 
 def _period_fit(ts: np.ndarray, ss: np.ndarray) -> tuple[float, float]:
@@ -376,111 +409,130 @@ def _period_fit(ts: np.ndarray, ss: np.ndarray) -> tuple[float, float]:
     return a0, err
 
 
-def _tail_steps(osc: OscillationSpec, iv: Interval, tol, head, max_lobes, budget):
-    """Oscillatory rule for f(t) * C_nu(frequency*t) over [iv.lower, inf).
+class _Lobes:
+    """One row of the oscillatory rule past its head: the partial sums and
+    their two extrapolators, Wynn's epsilon table over a window of lobes
+    and the constant-phase fit of the sums at every second kernel zero."""
 
-    The axis is partitioned at the scaled kernel zeros (united with any
-    extra break sequence declared on the oscillation spec) and each lobe
-    is integrated with a fixed Gauss-Legendre rule; the head up to the
-    first break at or past ``head`` goes through the finite rule.  Two
-    extrapolators run side by side on the partial sums: Wynn's epsilon
-    algorithm over a sliding window of lobes, for sums that alternate,
-    and a constant-phase fit (``_period_fit``) of the sums at every
-    second kernel zero, for sums that do not (a product of two Bessel
-    functions of the same frequency).  The first whose error estimate
-    meets the tolerance gives the result.  Integrands whose lobes decay
-    below the tolerance terminate by direct summation with a tail bound
-    instead.
-    """
-    lower = iv.lower
-    head_end = max(head, lower) if head is not None else lower + max(1.0, 10.0 / osc.frequency)
-    stream = _BreakStream(osc, lower)
-    # snap the head to the first break at/after head_end
-    i = 0
-    while stream.get(i) < head_end:
-        i += 1
-    head_end = stream.get(i)
+    __slots__ = ("evals", "n", "total", "head_err", "mag", "table", "period_t",
+                 "period_s", "zeros_passed", "crossings", "prev_est", "best_val", "best_raw")
 
-    if head_end > lower:
-        seg = Interval.segment(lower, head_end, iv.singularity_hint)
-        head_res = yield from _finite_steps(seg, 0.25 * tol, budget)
-        head_val, head_err = head_res.value, head_res.abs_err
-        evals = head_res.evaluations
-    else:
-        head_val, head_err, evals = 0.0, 0.0, 0
+    def __init__(self, head: QuadResult):
+        self.evals, self.n = head.evaluations, 0
+        self.total, self.head_err, self.mag = head.value, head.abs_err, math.inf
+        self.table = _EpsilonTable()
+        self.period_t, self.period_s = [], []
+        self.zeros_passed = self.crossings = 0
+        self.prev_est = None
+        self.best_val, self.best_raw = head.value, math.inf
 
-    table = _EpsilonTable()
-    # partial sums at every second lobe end that passes a kernel zero
-    period_t: list[float] = []
-    period_s: list[float] = []
-    zeros_passed = 0
-    crossings = 0
-    total = head_val
-    prev_est = None
-    best_val, best_raw = total, math.inf
-    lobe_mags = []
-    n_lobes = 0
-    while n_lobes < max_lobes and evals < budget:
-        a = stream.get(i)
-        b = stream.get(i + 1)
-        h = 0.5 * (b - a)
-        lobe = h * float(np.dot(_W25, (yield a + h * _T25)))
-        evals += 25
-        i += 1
-        n_lobes += 1
-        total += lobe
-        lobe_mags.append(abs(lobe))
+    def add(self, lobe, b, passed, tol):
+        """Take the sum of the lobe that ends at break b, past ``passed``
+        kernel zeros; returns the QuadResult once an exit fires, else None."""
+        self.evals = evals = self.evals + 25
+        self.n = n = self.n + 1
+        self.total = total = self.total + lobe
+        mag, prev_mag = abs(lobe), self.mag
+        self.mag = mag
         # direct-summation exit for rapidly decaying integrands
-        if n_lobes >= 2 and lobe_mags[-1] < 0.02 * tol and lobe_mags[-2] < 0.02 * tol:
-            tail_bound = 3.0 * (lobe_mags[-1] + lobe_mags[-2])
-            abs_err = tail_bound + head_err
+        if n >= 2 and mag < 0.02 * tol and prev_mag < 0.02 * tol:
+            abs_err = 3.0 * (mag + prev_mag) + self.head_err
             return QuadResult(total, max(abs_err, 1e-16), evals, abs_err <= tol)
-        table.push(total)
-        if n_lobes >= 6:
-            est, raw = table.estimate()
-            if math.isfinite(est) and raw < best_raw:
-                best_val, best_raw = est, raw
-            if prev_est is not None and math.isfinite(est):
-                drift = abs(est - prev_est)
-                if raw < 0.3 * tol and drift < 0.3 * tol:
-                    abs_err = max(2.0 * max(raw, drift) + head_err, 1e-16)
-                    return QuadResult(est, abs_err, evals, abs_err <= tol)
-            prev_est = est if math.isfinite(est) else prev_est
-        passed = stream.kernel_zeros_through(b)
-        if passed > zeros_passed:
-            zeros_passed = passed
-            crossings += 1
-            if crossings % 2 == 0:
-                period_t.append(b)
-                period_s.append(total)
-                if len(period_t) >= 18:
-                    est, raw = _period_fit(np.asarray(period_t), np.asarray(period_s))
-                    if raw < best_raw:
-                        best_val, best_raw = est, raw
-                    if raw < 0.3 * tol:
-                        abs_err = max(2.0 * raw + head_err, 1e-16)
+        self.table.push(total)
+        if n >= 6:
+            est, raw = self.table.estimate()
+            if math.isfinite(est):
+                if raw < self.best_raw:
+                    self.best_val, self.best_raw = est, raw
+                prev_est, self.prev_est = self.prev_est, est
+                if prev_est is not None:
+                    drift = abs(est - prev_est)
+                    if raw < 0.3 * tol and drift < 0.3 * tol:
+                        abs_err = max(2.0 * max(raw, drift) + self.head_err, 1e-16)
                         return QuadResult(est, abs_err, evals, abs_err <= tol)
-    abs_err = 2.0 * best_raw + head_err if math.isfinite(best_raw) else math.inf
-    return QuadResult(best_val, abs_err, evals, False)
+        if passed > self.zeros_passed:
+            self.zeros_passed = passed
+            self.crossings += 1
+            if self.crossings % 2 == 0:
+                self.period_t.append(b)
+                self.period_s.append(total)
+                if len(self.period_t) >= 18:
+                    est, raw = _period_fit(np.asarray(self.period_t), np.asarray(self.period_s))
+                    if raw < self.best_raw:
+                        self.best_val, self.best_raw = est, raw
+                    if raw < 0.3 * tol:
+                        abs_err = max(2.0 * raw + self.head_err, 1e-16)
+                        return QuadResult(est, abs_err, evals, abs_err <= tol)
+        return None
+
+    def unconverged(self) -> QuadResult:
+        best_raw = self.best_raw
+        abs_err = 2.0 * best_raw + self.head_err if math.isfinite(best_raw) else math.inf
+        return QuadResult(self.best_val, abs_err, self.evals, False)
 
 
-def steps(
+def integrate_oscillatory_tail(
+    f,
     iv: Interval,
-    osc: Optional[OscillationSpec],
+    osc: OscillationSpec,
     tol: float,
-    head: Optional[float] = None,
+    heads,
     budget: int = DEFAULT_BUDGET,
     max_lobes: int = 220,
-):
-    """The integration generator for ``iv``: the finite rule on a finite
-    segment, the oscillatory rule on an infinite one, whose lobes need
-    the kernel ``osc``.  It yields node arrays, is sent the integrand's
-    values there and returns the QuadResult."""
-    if iv.is_finite:
-        return _finite_steps(iv, tol, budget)
-    if osc is None:
-        raise ValueError("an infinite interval needs an oscillation spec")
-    return _tail_steps(osc, iv, tol, head, max_lobes, budget)
+) -> list:
+    """Oscillatory rule over [iv.lower, inf), one row for each entry of
+    ``heads``; returns one QuadResult per row.
+
+    ``f(rows, t)`` returns the full integrand, f(t) * C_nu(frequency*t),
+    at a node array t with one row of nodes for each index in ``rows``.
+    The axis is partitioned at the scaled kernel zeros (united with any
+    extra break sequence declared on the oscillation spec), one stream of
+    breaks for all rows, and each lobe is integrated with a fixed
+    Gauss-Legendre rule.  A row's head, up to the first break at or past
+    its ``heads`` entry (None for iv.lower + max(1, 10 / frequency)), goes
+    through the finite rule, all rows' heads in one call.  Then each step
+    integrates the next lobe of every live row with one call of ``f``.
+    Two extrapolators run side by side on each row's partial sums: Wynn's
+    epsilon algorithm over a sliding window of lobes, for sums that
+    alternate, and a constant-phase fit (``_period_fit``) of the sums at
+    every second kernel zero, for sums that do not (a product of two
+    Bessel functions of the same frequency).  The first whose error
+    estimate meets the tolerance gives the result.  Integrands whose lobes
+    decay below the tolerance terminate by direct summation with a tail
+    bound instead.  Every row gets the result it would get alone.
+    """
+    lower = iv.lower
+    stream = _BreakStream(osc, lower)
+    default = lower + max(1.0, 10.0 / osc.frequency)
+    starts = [stream.snap(default if head is None else max(head, lower)) for head in heads]
+    ends = [stream.points[i] for i in starts]
+    headed = [k for k, end in enumerate(ends) if end > lower]
+    head_results = integrate_finite(
+        lambda rows, x: f([headed[j] for j in rows], x),
+        [Interval.segment(lower, ends[k], iv.singularity_hint) for k in headed],
+        0.25 * tol,
+        budget,
+    ) if headed else []
+    heads_done = dict(zip(headed, head_results))
+    no_head = QuadResult(0.0, 0.0, 0, True)
+    rows = [_Lobes(heads_done.get(k, no_head)) for k in range(len(starts))]
+    # a row's lobe loop ends unconverged at its limit, when max_lobes are
+    # done or its evaluations reach the budget
+    limits = [min(max_lobes, -(-(budget - row.evals) // 25)) for row in rows]
+    results = [None] * len(rows)
+    live = [k for k, limit in enumerate(limits) if limit > 0]
+    n = 0  # every live row integrates its n-th lobe at step n
+    while live:
+        lobe = [starts[k] + n for k in live]
+        stream.through(max(lobe))
+        h = stream.half_widths.take(lobe)
+        sums = (h * np.vecdot(f(live, stream.nodes.take(lobe, axis=0)), _W25)).tolist()
+        points, passed = stream.points, stream.zeros_passed
+        for k, j, s in zip(live, lobe, sums):
+            results[k] = rows[k].add(s, points[j + 1], passed[j + 1], tol)
+        n += 1
+        live = [k for k in live if results[k] is None and n < limits[k]]
+    return [res or row.unconverged() for res, row in zip(results, rows)]
 
 
 def integrate_entry(
@@ -492,14 +544,18 @@ def integrate_entry(
     budget: int = DEFAULT_BUDGET,
     max_lobes: int = 220,
 ) -> QuadResult:
-    """Integrate f over ``iv`` with the rule ``steps`` picks.
+    """Integrate f over ``iv``: the finite rule on a finite segment, the
+    oscillatory rule on an infinite one, as a batch of one row.
 
     When ``osc`` is given, ``f`` is the smooth (non-kernel) factor and
     the full integrand is f(t) * C_nu(frequency * t).
     """
-    gen = steps(iv, osc, tol, head, budget, max_lobes)
     if osc is None:
-        full = lambda t: np.asarray(f(t), dtype=float)
+        full = lambda rows, t: np.asarray(f(t[0]), dtype=float)[None]
     else:
-        full = lambda t: np.asarray(f(t), dtype=float) * osc.kernel(t)
-    return drive([gen], lambda live, requests: [full(requests[0])])[0]
+        full = lambda rows, t: (np.asarray(f(t[0]), dtype=float) * osc.kernel(t[0]))[None]
+    if iv.is_finite:
+        return integrate_finite(full, [iv], tol, budget)[0]
+    if osc is None:
+        raise ValueError("an infinite interval needs an oscillation spec")
+    return integrate_oscillatory_tail(full, iv, osc, tol, [head], budget, max_lobes)[0]

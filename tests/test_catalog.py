@@ -198,6 +198,20 @@ def test_endpoint_singular_entry_converges_at_tight_tol(entry_id, grid_index):
     assert err <= 5.0 * res.abs_err, (res, err)
 
 
+@pytest.mark.parametrize("grid_index", [0, 1, 2])
+def test_t11_below_rounding_stays_finite(grid_index):
+    # at 1e-13 bisection toward the singular end drives w s^2 below
+    # ulp(end); a panel whose node would land on the end, where
+    # 1/sqrt(u^2 - 4a^2) is infinite, is not split, so no node is NaN
+    # (a RuntimeWarning fails the suite) and the row stays honest
+    e = entry_by_id("T11")
+    P = e.default_grid[grid_index]
+    res = e.lhs(P, tol=1e-13)
+    err = abs(res.value - float(e.rhs(P)))
+    assert math.isfinite(res.value) and math.isfinite(res.abs_err), res
+    assert not res.converged or err <= 5.0 * res.abs_err, (res, err)
+
+
 @pytest.mark.parametrize("nu", [-0.3, -0.45])
 def test_t16_below_minus_quarter_has_its_zeros(nu):
     # |nu| < 1/2 lets the Y_(2 nu) breaks have order 2 nu < -1/2, below

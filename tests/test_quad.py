@@ -17,6 +17,8 @@ from hankel_dual.quad import (
     OscillationSpec,
     epsilon_extrapolate,
     integrate_entry,
+    integrate_finite,
+    integrate_oscillatory_tail,
     _EpsilonTable,
 )
 
@@ -362,3 +364,64 @@ def test_result_fields():
     assert res.abs_err >= 0.0
     assert res.converged
     assert abs(res.value - (math.e - 1.0)) <= 5.0 * res.abs_err
+
+
+def _rows(fs, kernel=None):
+    """The batch integrand f(rows, t) of the one-row integrands fs."""
+    def f(rows, t):
+        y = np.stack([fs[k](t[j]) for j, k in enumerate(rows)])
+        return y if kernel is None else y * kernel(t)
+    return f
+
+
+def test_tail_rows_stop_alone():
+    # rows that leave the lobe loop at different steps and by different
+    # exits, over one break stream, each as if integrated alone
+    osc = OscillationSpec(1.0, 1.0)
+    tol, budget, max_lobes = 1e-7, 3000, 80
+    cases = [
+        (lambda t: np.exp(-t), None),  # direct summation
+        (lambda t: 1.0 / (1.0 + t), None),  # Wynn epsilon
+        (lambda t: sp.jv(1.0, t) / t, None),  # period fit: J_1^2 / t
+        (lambda t: np.cos(t * t), None),  # no exit within max_lobes
+        (lambda t: 1.0 / (1.0 + t), 2000.0),  # the head spends the budget
+        (lambda t: np.exp(-0.2 * t), 30.0),  # a later first lobe
+    ]
+    fs, heads = [f for f, _ in cases], [h for _, h in cases]
+    iv = Interval.full_half_line()
+    batch = integrate_oscillatory_tail(_rows(fs, osc.kernel), iv, osc, tol, heads, budget, max_lobes)
+    alone = [integrate_entry(f, iv, osc, tol, h, budget, max_lobes) for f, h in cases]
+    assert batch == alone
+    assert all(r.converged for r in batch[:3] + batch[5:])
+    assert abs(batch[0].value - (1.0 - 1.0 / math.sqrt(2.0))) <= 5.0 * batch[0].abs_err
+    assert abs(batch[2].value - 0.5) <= 5.0 * batch[2].abs_err
+    assert not batch[3].converged and batch[3].evaluations < budget
+    assert not batch[4].converged and batch[4].evaluations >= budget
+
+
+def test_finite_rows_stop_alone():
+    # a row done after its first four panels, rows that bisect for a few
+    # or many steps, and one that stops at a panel too narrow to split
+    c = 1.0 / math.pi
+    cases = [
+        (lambda x: 3.0 * x**2, Interval.segment(0.0, 2.0)),
+        (lambda x: np.cos(40.0 * x), Interval.segment(0.0, 2.0)),
+        (lambda x: np.where(x < c, 1.0, 0.0), Interval.segment(0.0, 1.5)),
+        (lambda x: 1.0 / np.sqrt(np.abs(x - c) + 1e-24), Interval.segment(0.0, 1.0)),
+    ]
+    fs, segs = [f for f, _ in cases], [iv for _, iv in cases]
+    batch = integrate_finite(_rows(fs), segs, 1e-12, 40_000)
+    alone = [integrate_entry(f, iv, tol=1e-12, budget=40_000) for f, iv in cases]
+    assert batch == alone
+    assert [r.evaluations for r in batch[:2]] == [148, 444]
+    assert all(r.converged for r in batch[:3])
+    assert not batch[3].converged and batch[3].evaluations < 40_000
+
+
+def test_finite_rows_share_one_hint():
+    with pytest.raises(ValueError):
+        integrate_finite(
+            _rows([np.sqrt, np.sqrt]),
+            [Interval.segment(0.0, 1.0), Interval.segment(0.0, 1.0, ALGEBRAIC_AT_LOWER)],
+            1e-10,
+        )
