@@ -290,7 +290,7 @@ def integrate_finite(f, segments, tol: float, budget: int = DEFAULT_BUDGET) -> l
     Integration, 2nd ed., 1984, sec. 2.9).  A substituted panel whose
     nodes would round onto the end is not split.
     """
-    hint = segments[0].singularity_hint
+    hint = segments[0].singularity_hint if segments else None
     if any(seg.singularity_hint != hint for seg in segments):
         raise ValueError("the segments of one call must share one singularity hint")
     if hint is None:
