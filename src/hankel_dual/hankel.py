@@ -20,9 +20,9 @@ and the lobe nodes do not depend on b, and the head [0, max(b, 10)]
 (which is [0, max(1, 10/b)] in x) snaps to the same kernel zeros, so
 every b whose head snaps to the same zero starts from the same panels.
 J_nu is therefore kept in one table per order, keyed by a row's
-node array: each distinct array costs one ``jv`` evaluation for the
-whole process, and a round trip's forwards come back to the same few
-hundred arrays pass after pass.  The head is integrated in
+node array: each distinct array costs one ``specfun.cylinder``
+evaluation for the whole process, and a round trip's forwards come back
+to the same few hundred arrays pass after pass.  The head is integrated in
 x = U s^2 (``quad.ALGEBRAIC_AT_LOWER``).  Admissibility lets F grow like
 x^p, p > -3/2, at zero, and the substituted integrand is then
 O(s^(2p+3)), bounded, so x K_0(x) ~ -x log x needs no bisection toward
@@ -30,12 +30,10 @@ O(s^(2p+3)), bounded, so x K_0(x) ~ -x log x needs no bisection toward
 where F lives.
 
 A compact seed keeps the x frame, [0, support_upper] with plain panels
-and kernel J_nu(b x).  In t its segment [0, b c] would move with b, so
-no node array would repeat and a table would only grow; and any change
-of its nodes moves its round-trip residuals near r = 1, where the
-inverse's error bound is least honest.  The substitution was left off
-it for the same reason: it bought nothing there and cost the truncated
-power more forward evaluations.
+and kernel J_nu(b x) from ``specfun.cylinder``.  In t its segment
+[0, b c] would move with b, so no node array would repeat and a table
+would only grow.  The substitution is left off it too: it bought
+nothing there and cost the truncated power more forward evaluations.
 """
 
 from __future__ import annotations
@@ -45,11 +43,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.special as sp
 
 from . import quad
 from .errors import AdmissibilityError, InconclusiveConditionError
 from .quad import Interval, OscillationSpec, QuadResult
+from .specfun import cylinder
 
 __all__ = [
     "SeedFunction",
@@ -190,13 +188,13 @@ _KERNEL_TABLES: dict[float, dict[bytes, np.ndarray]] = {}
 
 def _tabled_jv(nu: float, nodes: np.ndarray) -> np.ndarray:
     """J_nu at a node array, each row of nodes looked up in the order's
-    table; every row not yet there is filled by one jv call and stored
+    table; every row not yet there is filled by one kernel call and stored
     read-only.  Two threads that fill the same key store equal arrays."""
     table = _KERNEL_TABLES.setdefault(nu, {})
     keys = [t.tobytes() for t in nodes]
     missing = {k: t for k, t in zip(keys, nodes) if k not in table}
     if missing:
-        fresh = sp.jv(nu, np.concatenate(list(missing.values())))
+        fresh = cylinder(nu, np.concatenate(list(missing.values())))
         fresh.flags.writeable = False
         end = 0
         for k, t in missing.items():
@@ -219,7 +217,7 @@ def _forwards(F: SeedFunction, nu: float, bs, tol: float) -> list[QuadResult]:
     def values(rows, T):
         rows = np.asarray(rows)
         if compact:
-            kernel = sp.jv(nu, freq[rows, None] * T)
+            kernel = cylinder(nu, freq[rows, None] * T)
         else:
             kernel = _tabled_jv(nu, T)
         X = T / t_per_x[rows, None]

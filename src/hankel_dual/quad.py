@@ -7,7 +7,12 @@ a semi-infinite oscillatory rule that partitions the axis at
 Bessel-kernel zeros and extrapolates the lobe sums.  It runs
 Wynn's epsilon algorithm, for sums that alternate, and a constant-phase
 fit in inverse powers of the truncation point, for sums that do not,
-side by side; the first to converge gives the result.
+side by side; the first to converge gives the result.  The epsilon
+table spans the newest 12 partial sums, and its exit needs both its own
+error estimate and the drift |e - e_1| + |e - e_2| of its last three
+finite estimates under 0.3 tol.  A deeper table, or a drift over one
+lobe, let the inverse of a compact seed near its support edge stop on
+estimates that moved with the last digits of the integrand.
 
 Both rules integrate a batch of rows, each row its own integral, and
 return one result per row.  The integrand is called as f(rows, nodes),
@@ -28,9 +33,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.special as _sp
 
-from .specfun import bessel_zeros
+from .specfun import bessel_zeros, cylinder
 
 __all__ = [
     "Interval",
@@ -44,7 +48,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 2_000_000
 # lobes of partial sums that one Wynn epsilon table spans
-_EPSILON_WINDOW = 40
+_EPSILON_WINDOW = 12
 
 ALGEBRAIC_AT_LOWER = "algebraic_at_lower"
 ALGEBRAIC_AT_UPPER = "algebraic_at_upper"
@@ -125,8 +129,7 @@ class OscillationSpec:
             raise ValueError("kernel kind must be 'j' or 'y'")
 
     def kernel(self, t):
-        fn = _sp.jv if self.kind == "j" else _sp.yv
-        return fn(self.bessel_order, self.frequency * np.asarray(t, dtype=float))
+        return cylinder(self.bessel_order, self.frequency * np.asarray(t, dtype=float), self.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +361,18 @@ class _BreakStream:
         osc = self.osc
         self._n += 96
         kernel = bessel_zeros(osc.bessel_order, self._n, osc.kind) / osc.frequency
-        pts, end = kernel, kernel[-1]
-        if osc.extra_breaks is not None:
-            extra = np.asarray(osc.extra_breaks(self._n), dtype=float)
-            pts, end = np.concatenate([pts, extra]), min(end, extra[-1])
         keep = self.points[:1]
         min_gap = 0.05 * math.pi / osc.frequency
-        for p in np.sort(pts[pts <= end]).tolist():
-            if p - keep[-1] > min_gap:
-                keep.append(p)
+        if osc.extra_breaks is None:
+            # kernel zeros lie more than 2.5 / frequency apart, so every zero
+            # past the first one clear of the start clears the one before
+            keep += kernel[kernel - keep[0] > min_gap].tolist()
+        else:
+            extra = np.asarray(osc.extra_breaks(self._n), dtype=float)
+            pts, end = np.concatenate([kernel, extra]), min(kernel[-1], extra[-1])
+            for p in np.sort(pts[pts <= end]).tolist():
+                if p - keep[-1] > min_gap:
+                    keep.append(p)
         self.points = keep
         x = np.asarray(keep)
         self.half_widths = 0.5 * (x[1:] - x[:-1])
@@ -415,7 +421,7 @@ class _Lobes:
     and the constant-phase fit of the sums at every second kernel zero."""
 
     __slots__ = ("evals", "n", "total", "head_err", "mag", "table", "period_t",
-                 "period_s", "zeros_passed", "crossings", "prev_est", "best_val", "best_raw")
+                 "period_s", "zeros_passed", "crossings", "recent", "best_val", "best_raw")
 
     def __init__(self, head: QuadResult):
         self.evals, self.n = head.evaluations, 0
@@ -423,7 +429,7 @@ class _Lobes:
         self.table = _EpsilonTable()
         self.period_t, self.period_s = [], []
         self.zeros_passed = self.crossings = 0
-        self.prev_est = None
+        self.recent = (None, None)  # the last two finite epsilon estimates, newest first
         self.best_val, self.best_raw = head.value, math.inf
 
     def add(self, lobe, b, passed, tol):
@@ -444,9 +450,10 @@ class _Lobes:
             if math.isfinite(est):
                 if raw < self.best_raw:
                     self.best_val, self.best_raw = est, raw
-                prev_est, self.prev_est = self.prev_est, est
-                if prev_est is not None:
-                    drift = abs(est - prev_est)
+                prev1, prev2 = self.recent
+                self.recent = (est, prev1)
+                if prev2 is not None:
+                    drift = abs(est - prev1) + abs(est - prev2)
                     if raw < 0.3 * tol and drift < 0.3 * tol:
                         abs_err = max(2.0 * max(raw, drift) + self.head_err, 1e-16)
                         return QuadResult(est, abs_err, evals, abs_err <= tol)
@@ -493,11 +500,15 @@ def integrate_oscillatory_tail(
     through the finite rule, all rows' heads in one call.  Then each step
     integrates the next lobe of every live row with one call of ``f``.
     Two extrapolators run side by side on each row's partial sums: Wynn's
-    epsilon algorithm over a sliding window of lobes, for sums that
-    alternate, and a constant-phase fit (``_period_fit``) of the sums at
-    every second kernel zero, for sums that do not (a product of two
-    Bessel functions of the same frequency).  The first whose error
-    estimate meets the tolerance gives the result.  Integrands whose lobes
+    epsilon algorithm over the newest ``_EPSILON_WINDOW`` (12) sums, for
+    sums that alternate, and a constant-phase fit (``_period_fit``) of the
+    sums at every second kernel zero, for sums that do not (a product of
+    two Bessel functions of the same frequency).  The first whose error
+    estimate meets the tolerance gives the result; the epsilon exit also
+    needs its last three finite estimates e, e_1, e_2 to drift by
+    |e - e_1| + |e - e_2| < 0.3 tol (QUADPACK's qelg sums the drift over
+    three estimates back; two suffice here), and reports
+    2 max(error, drift) plus the head's bound.  Integrands whose lobes
     decay below the tolerance terminate by direct summation with a tail
     bound instead.  Every row gets the result it would get alone.
     """

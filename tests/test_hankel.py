@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from hankel_dual.hankel import (
     hankel_forward,
     hankel_inverse,
 )
+from hankel_dual.specfun import cylinder
 
 
 def gaussian_seed():
@@ -164,6 +164,37 @@ def test_roundtrip_truncated_power_off_grid(r):
     assert resid <= 1e-6, (r, resid)
 
 
+def truncated_power_transform(u):
+    return 2.0 * sp.jv(2.0, u) / (u * u)
+
+
+@pytest.mark.parametrize(
+    "r", [0.86012, 0.9389, 0.9782, 0.98305, 0.9831, 0.98832, 1.0306, 1.0335]
+)
+def test_inverse_near_support_edge_ignores_last_digits_of_g(r):
+    # near r = 1 the lobes of the truncated power's inverse beat slowly;
+    # changing G in its 12th digit must not move where the extrapolation
+    # stops by more than a fraction of the tolerance
+    tol = 3e-7
+    G = truncated_power_transform
+    a = hankel_inverse(G, 0.0, r, tol)
+    b = hankel_inverse(lambda u: G(u) * (1.0 + 1e-12 * np.cos(7.3 * u)), 0.0, r, tol)
+    assert abs(a.value - b.value) <= 0.3 * tol, (r, a, b)
+
+
+def test_inverse_error_bounds_near_support_edge_ratchet():
+    # the truncated power's inverse at 24 log-spaced radii and 6 radii near
+    # its edge: no more than 8 of 30 may be wrong by over 5x their bound
+    radii = np.geomspace(0.5, 2.0, 24).tolist() + [0.9389, 0.9782, 0.98305, 0.9831, 0.98832, 1.0335]
+    dishonest = []
+    for r in radii:
+        res = hankel_inverse(truncated_power_transform, 0.0, r, 3e-7)
+        err = abs(res.value - max(1.0 - r * r, 0.0))
+        if err > 5.0 * res.abs_err:
+            dishonest.append((r, err, res.abs_err))
+    assert len(dishonest) <= 8, dishonest
+
+
 ACCEPTANCE_SEEDS = SMOOTH_SEEDS + [(indicator_seed(), 0.0)]
 
 
@@ -215,11 +246,11 @@ def test_repeated_roundtrip_reuses_kernel_table(monkeypatch):
     ((_, first),) = dual_roundtrip(F, 0.0, [1.0])
     calls = []
 
-    def jv(nu, t):
+    def kernel(nu, t, kind="j"):
         calls.append(np.size(t))
-        return sp.jv(nu, t)
+        return cylinder(nu, t, kind)
 
-    monkeypatch.setattr(hankel, "sp", types.SimpleNamespace(jv=jv))
+    monkeypatch.setattr(hankel, "cylinder", kernel)
     ((_, second),) = dual_roundtrip(F, 0.0, [1.0])
     assert calls == []
     assert second == first

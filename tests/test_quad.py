@@ -19,8 +19,10 @@ from hankel_dual.quad import (
     integrate_entry,
     integrate_finite,
     integrate_oscillatory_tail,
+    _BreakStream,
     _EpsilonTable,
 )
+from hankel_dual.specfun import bessel_zeros
 
 
 def test_epsilon_alternating_harmonic():
@@ -356,6 +358,32 @@ def test_extra_breaks_past_last_kernel_zero():
         head=280.0,
     )
     assert abs(res.value - sp.jv(0.0, 1.0)) <= 5.0 * res.abs_err
+
+
+@pytest.mark.parametrize(
+    "osc,start",
+    [
+        (OscillationSpec(0.0, 1.0), 0.0),
+        (OscillationSpec(0.0, 1.0), 2.40),  # a start just below the first zero
+        (OscillationSpec(1.0, 0.37), 3.0),
+        (OscillationSpec(-0.45, 2.5, "y"), 0.0),
+        (OscillationSpec(-0.9, 1.0), 0.0),
+        (OscillationSpec(2.5, 40.0, "y"), 1.0),
+    ],
+)
+def test_break_stream_keeps_the_merge_loops_points(osc, start):
+    # without extra breaks the stream keeps the kernel zeros clear of the
+    # start as one array; the merge loop it replaces keeps the same points
+    stream = _BreakStream(osc, start)
+    for n in (96, 192, 288):
+        stream.through(len(stream.points) - 1)
+        kernel = bessel_zeros(osc.bessel_order, n, osc.kind) / osc.frequency
+        keep = [start]
+        for p in kernel.tolist():
+            if p - keep[-1] > 0.05 * math.pi / osc.frequency:
+                keep.append(p)
+        assert stream.points == keep
+        assert len(stream.nodes) == len(keep) - 1
 
 
 def test_result_fields():

@@ -20,6 +20,7 @@ from hankel_dual.specfun import (
     bessel_zero,
     bessel_zeros,
     chebyshev_t,
+    cylinder,
     gamma_fn,
     hyp2f1_terminating,
     jacobi_p,
@@ -166,6 +167,30 @@ def test_bessel_zeros_increasing_and_interlaced():
     zy = bessel_zeros(0.0, 30, kind="y")
     assert np.all(zy[:29] < zj[:29])
     assert np.all(zj[:29] < zy[1:30])
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+@pytest.mark.parametrize("kind", ["j", "y"])
+def test_cylinder_cephes_orders_match_mpmath(nu, kind):
+    # orders 0 and 1 take Cephes' j0/j1/y0/y1, not AMOS; pin them at
+    # log-spaced and evenly spaced points of [1e-8, 1e4]
+    xs = np.concatenate([np.geomspace(1e-8, 1e4, 100), np.linspace(1e-8, 1e4, 100)])
+    ref = mpmath.besselj if kind == "j" else mpmath.bessely
+    with mpmath.workdps(30):
+        want = np.array([float(ref(int(nu), mpmath.mpf(float(x)))) for x in xs])
+    got = cylinder(nu, xs, kind)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.25, 0.5, 2.0, 2.5, 7.0])
+def test_cylinder_other_orders_are_amos(nu):
+    import scipy.special as sp
+
+    xs = np.geomspace(1e-3, 1e4, 300)
+    assert np.array_equal(cylinder(nu, xs, "j"), sp.jv(nu, xs))
+    assert np.array_equal(cylinder(nu, xs, "y"), sp.yv(nu, xs))
+    with pytest.raises(ValueError):
+        cylinder(nu, xs, "k")
 
 
 def test_bessel_zeros_match_scipy_integer_orders():
