@@ -894,7 +894,7 @@ def _build_entries() -> list:
                 _sp.kv(2.0 * P["nu"], 2.0 * np.sqrt(u))
                 - 0.5 * math.pi * _sp.yv(2.0 * P["nu"], 2.0 * np.sqrt(u))
             )),
-            interval=lambda P: Interval.full_half_line(),
+            interval=lambda P: Interval.tail(0.0, ALGEBRAIC_AT_LOWER),
             osc=lambda P: OscillationSpec(
                 P["nu"], P["z"], "j", _sqrt_breaks(2.0 * P["nu"], 2.0, "y")
             ),

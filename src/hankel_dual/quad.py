@@ -1,10 +1,13 @@
 """Quadrature engine.
 
-Two rules: an adaptive Gauss-Legendre bisection rule for finite
-segments, with one endpoint substitution x = end -+ (upper - lower) s^2
-for a declared algebraic or logarithmic singularity at either end, and
-a semi-infinite oscillatory rule that partitions the axis at
-Bessel-kernel zeros and extrapolates the lobe sums.  It runs
+Two rules: an adaptive Gauss-Kronrod bisection rule for finite
+segments, whose panels take the 21-point Kronrod sum as their value and
+its distance from the embedded 10-point Gauss sum as their error, with
+one endpoint substitution x = end -+ (upper - lower) s^2 for a declared
+algebraic or logarithmic singularity at either end, and a semi-infinite
+oscillatory rule that partitions the axis at Bessel-kernel zeros,
+integrates each lobe with a 12-point Gauss-Legendre rule and
+extrapolates the lobe sums.  It runs
 Wynn's epsilon algorithm, for sums that alternate, and a constant-phase
 fit in inverse powers of the truncation point, for sums that do not,
 side by side; the first to converge gives the result.  The epsilon
@@ -133,14 +136,43 @@ class OscillationSpec:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre panels
+# Quadrature tables
 # ---------------------------------------------------------------------------
 
-_X25, _W25 = np.polynomial.legendre.leggauss(25)
-_X12, _W12 = np.polynomial.legendre.leggauss(12)
-# panel [a, b] has nodes a + h*t, h = (b - a)/2; its 37 are 25-point then 12-point
-_T25 = _X25 + 1.0
-_T37 = np.concatenate([_X25, _X12]) + 1.0
+# Gauss-Kronrod 10/21 on [-1, 1], increasing (QUADPACK's qk21; Piessens et
+# al., QUADPACK, 1983): the 21 Kronrod nodes and weights, and the 10-point
+# Gauss weights of the odd-indexed nodes, which are the Gauss nodes
+_XK21_HALF = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WK21_HALF = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208745736347, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+)
+_WK21_MID = 0.149445554002916905664936468389821
+_WG10_HALF = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_XK21 = np.concatenate([-np.asarray(_XK21_HALF), [0.0], _XK21_HALF[::-1]])
+_WK21 = np.concatenate([_WK21_HALF, [_WK21_MID], _WK21_HALF[::-1]])
+_WG10 = np.concatenate([_WG10_HALF, _WG10_HALF[::-1]])
+# Gauss-Legendre rule of each lobe of the oscillatory tail
+_XLOBE, _WLOBE = np.polynomial.legendre.leggauss(12)
+# panel [a, b] has nodes a + h*t, h = (b - a)/2, with t from these tables
+_TK21 = _XK21 + 1.0
+_TLOBE = _XLOBE + 1.0
+# evaluations a panel and a lobe
+_PANEL_NODES = _TK21.size
+_LOBE_NODES = _TLOBE.size
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +240,21 @@ def epsilon_extrapolate(partial_sums) -> tuple[float, float]:
 
 
 def _panel_sums(f, rows, panels, sub):
-    """Each row's (25-point, 12-point) sums over its panels, from one call
-    ``f(rows, x)`` at the 37 nodes of every panel.  ``sub`` = (ends, ws),
-    arrays over all rows, substitutes x = end + w*s^2, whose integrand is
-    f(x)*|w|*2s."""
+    """Each row's (Kronrod 21-point, Gauss 10-point) sums over its panels,
+    from one call ``f(rows, x)`` at the 21 Kronrod nodes of every panel.
+    ``sub`` = (ends, ws), arrays over all rows, substitutes x = end + w*s^2,
+    whose integrand is f(x)*|w|*2s."""
     ab = np.asarray(panels)
     a = ab[..., 0]
     h = 0.5 * (ab[..., 1] - a)
-    t = (a[..., None] + h[..., None] * _T37).reshape(len(rows), -1)
+    t = (a[..., None] + h[..., None] * _TK21).reshape(len(rows), -1)
     if sub is None:
         y = f(rows, t)
     else:
         end, w = sub[0][rows, None], sub[1][rows, None]
         y = f(rows, end + w * np.square(t)) * np.abs(w) * (2.0 * t)
-    y = y.reshape(h.shape + (37,))
-    return (h * np.vecdot(y[..., :25], _W25)).tolist(), (h * np.vecdot(y[..., 25:], _W12)).tolist()
+    y = y.reshape(h.shape + (_PANEL_NODES,))
+    return (h * np.vecdot(y, _WK21)).tolist(), (h * np.vecdot(y[..., 1::2], _WG10)).tolist()
 
 
 class _Bisection:
@@ -235,27 +267,27 @@ class _Bisection:
         self.heap, self.total, self.err, self.serial = [], 0.0, 0.0, 0
         self.sub = sub  # (end, w) of x = end + w*s^2, or None
 
-    def add(self, panels, sums25, sums12):
-        for (a, b), i25, i12 in zip(panels, sums25, sums12):
-            e = abs(i25 - i12)
-            self.total += i25
+    def add(self, panels, sums21, sums10):
+        for (a, b), i21, i10 in zip(panels, sums21, sums10):
+            e = abs(i21 - i10)
+            self.total += i21
             self.err += e
-            heapq.heappush(self.heap, (-e, self.serial, a, b, i25))
+            heapq.heappush(self.heap, (-e, self.serial, a, b, i21))
             self.serial += 1
 
     def split(self, target, budget):
         """Take out the panel of largest error and return its two halves;
         None once the row is done: within ``target``, out of budget, or at
         a panel that cannot be split."""
-        if not (self.err > target and 37 * self.serial < budget and self.heap):
+        if not (self.err > target and _PANEL_NODES * self.serial < budget and self.heap):
             return None
-        nege, _, a, b, i25 = heapq.heappop(self.heap)
+        nege, _, a, b, i21 = heapq.heappop(self.heap)
         e = -nege
         m = 0.5 * (a + b)
         if e <= 0.0 or (b - a) < 1e-15 * (abs(a) + abs(b) + 1.0) or self._reaches_end(a, m):
             self.err = max(self.err, e)
             return None
-        self.total -= i25
+        self.total -= i21
         self.err -= e
         return [(a, m), (m, b)]
 
@@ -265,24 +297,27 @@ class _Bisection:
         if self.sub is None:
             return False
         end, w = self.sub
-        s = a + 0.5 * (m - a) * _T37_MIN
+        s = a + 0.5 * (m - a) * _TK21_MIN
         return end + w * (s * s) == end
 
     def result(self, tol) -> QuadResult:
         value, raw = self.total, self.err
         abs_err = max(2.0 * raw, 1e-16 * (1.0 + abs(value)))
-        return QuadResult(value, abs_err, 37 * self.serial, raw <= tol and abs_err <= tol)
+        return QuadResult(value, abs_err, _PANEL_NODES * self.serial, raw <= tol and abs_err <= tol)
 
 
 def integrate_finite(f, segments, tol: float, budget: int = DEFAULT_BUDGET) -> list:
-    """Adaptive Gauss-Legendre rule over finite segments, one row each;
+    """Adaptive Gauss-Kronrod rule over finite segments, one row each;
     returns one QuadResult per segment.
 
     ``f(rows, x)`` returns the integrand at a node array x with one row of
-    nodes for each index in ``rows``.  Each row starts from four equal
-    panels and then bisects its panel of largest error, one per step, so
-    a step is one call of ``f`` for all rows still refining, and every row
-    gets the result it would get alone.
+    nodes for each index in ``rows``.  A panel costs 21 evaluations: its
+    value is the 21-point Kronrod sum, and its error the distance to the
+    10-point Gauss sum on the odd-indexed nodes (QUADPACK's qk21; Piessens
+    et al., QUADPACK, 1983).  Each row starts from four equal panels and
+    then bisects its panel of largest error, one per step, so a step is
+    one call of ``f`` for all rows still refining, and every row gets the
+    result it would get alone.
 
     The segments share one singularity hint.  A declared algebraic or
     logarithmic singularity at one end is smoothed by
@@ -309,10 +344,10 @@ def integrate_finite(f, segments, tol: float, budget: int = DEFAULT_BUDGET) -> l
     target = 0.35 * tol
     live = list(range(len(segments)))
     while live:
-        sums25, sums12 = _panel_sums(f, live, panels, sub)
+        sums21, sums10 = _panel_sums(f, live, panels, sub)
         still, halves = [], []
-        for k, p, s25, s12 in zip(live, panels, sums25, sums12):
-            rows[k].add(p, s25, s12)
+        for k, p, s21, s10 in zip(live, panels, sums21, sums10):
+            rows[k].add(p, s21, s10)
             split = rows[k].split(target, budget)
             if split is not None:
                 still.append(k)
@@ -329,8 +364,8 @@ def _quarters(lo, up):
 
 
 _UNIT_QUARTERS = tuple(_quarters(0.0, 1.0))
-# the node of a panel [a, a + 2h] nearest a is a + h * _T37_MIN
-_T37_MIN = float(_T37.min())
+# the node of a panel [a, a + 2h] nearest a is a + h * _TK21_MIN
+_TK21_MIN = float(_TK21[0])
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +411,7 @@ class _BreakStream:
         self.points = keep
         x = np.asarray(keep)
         self.half_widths = 0.5 * (x[1:] - x[:-1])
-        self.nodes = x[:-1, None] + self.half_widths[:, None] * _T25
+        self.nodes = x[:-1, None] + self.half_widths[:, None] * _TLOBE
         self.zeros_passed = kernel.searchsorted(x * (1.0 + 1e-12), side="right").tolist()
 
     def through(self, j: int):
@@ -435,7 +470,7 @@ class _Lobes:
     def add(self, lobe, b, passed, tol):
         """Take the sum of the lobe that ends at break b, past ``passed``
         kernel zeros; returns the QuadResult once an exit fires, else None."""
-        self.evals = evals = self.evals + 25
+        self.evals = evals = self.evals + _LOBE_NODES
         self.n = n = self.n + 1
         self.total = total = self.total + lobe
         mag, prev_mag = abs(lobe), self.mag
@@ -494,10 +529,11 @@ def integrate_oscillatory_tail(
     at a node array t with one row of nodes for each index in ``rows``.
     The axis is partitioned at the scaled kernel zeros (united with any
     extra break sequence declared on the oscillation spec), one stream of
-    breaks for all rows, and each lobe is integrated with a fixed
-    Gauss-Legendre rule.  A row's head, up to the first break at or past
-    its ``heads`` entry (None for iv.lower + max(1, 10 / frequency)), goes
-    through the finite rule, all rows' heads in one call.  Then each step
+    breaks for all rows, and each lobe is integrated with a 12-point
+    Gauss-Legendre rule, which adds no error estimate of its own.  A row's
+    head, up to the first break at or past its ``heads`` entry (None for
+    iv.lower + max(1, 10 / frequency)), goes through the finite rule, all
+    rows' heads in one call.  Then each step
     integrates the next lobe of every live row with one call of ``f``.
     Two extrapolators run side by side on each row's partial sums: Wynn's
     epsilon algorithm over the newest ``_EPSILON_WINDOW`` (12) sums, for
@@ -529,7 +565,7 @@ def integrate_oscillatory_tail(
     rows = [_Lobes(heads_done.get(k, no_head)) for k in range(len(starts))]
     # a row's lobe loop ends unconverged at its limit, when max_lobes are
     # done or its evaluations reach the budget
-    limits = [min(max_lobes, -(-(budget - row.evals) // 25)) for row in rows]
+    limits = [min(max_lobes, -(-(budget - row.evals) // _LOBE_NODES)) for row in rows]
     results = [None] * len(rows)
     live = [k for k, limit in enumerate(limits) if limit > 0]
     n = 0  # every live row integrates its n-th lobe at step n
@@ -537,7 +573,7 @@ def integrate_oscillatory_tail(
         lobe = [starts[k] + n for k in live]
         stream.through(max(lobe))
         h = stream.half_widths.take(lobe)
-        sums = (h * np.vecdot(f(live, stream.nodes.take(lobe, axis=0)), _W25)).tolist()
+        sums = (h * np.vecdot(f(live, stream.nodes.take(lobe, axis=0)), _WLOBE)).tolist()
         points, passed = stream.points, stream.zeros_passed
         for k, j, s in zip(live, lobe, sums):
             results[k] = rows[k].add(s, points[j + 1], passed[j + 1], tol)

@@ -66,6 +66,15 @@ def test_parallel_matches_serial():
     assert untimed[0] == untimed[1]
 
 
+def test_catalog_evaluation_ratchet():
+    # the whole catalog spends 35,862 integrand evaluations on Kronrod 10/21
+    # panels and 12-point lobes; it may not climb back past 0.7x the 69,922
+    # the earlier 37-node panels and 25-point lobes spent
+    report = verify.run_all(jobs=1)
+    assert all(r.status == verify.PASS for r in report.rows)
+    assert sum(r.evaluations for r in report.rows) <= 48_945
+
+
 def test_rows_in_catalog_document_order():
     entries = [catalog.entry_by_id(i) for i in ("T21", "T02a", "T04")]
     report = verify.run_all(entries, [], jobs=2)
