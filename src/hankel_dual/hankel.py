@@ -18,11 +18,8 @@ A non-compact seed's forward runs in t = b x:
 G(b) = b^-2 int_0^inf t F(t/b) J_nu(t) dt.  There the kernel, its zeros
 and the lobe nodes do not depend on b, and the head [0, max(b, 10)]
 (which is [0, max(1, 10/b)] in x) snaps to the same kernel zeros, so
-every b whose head snaps to the same zero starts from the same panels.
-J_nu is therefore kept in one table per order, keyed by a row's
-node array: each distinct array costs one ``specfun.cylinder``
-evaluation for the whole process, and a round trip's forwards come back
-to the same few hundred arrays pass after pass.  The head is integrated in
+every b shares one break stream and every b whose head snaps to the
+same zero starts from the same panels.  The head is integrated in
 x = U s^2 (``quad.ALGEBRAIC_AT_LOWER``).  Admissibility lets F grow like
 x^p, p > -3/2, at zero, and the substituted integrand is then
 O(s^(2p+3)), bounded, so x K_0(x) ~ -x log x needs no bisection toward
@@ -30,9 +27,8 @@ O(s^(2p+3)), bounded, so x K_0(x) ~ -x log x needs no bisection toward
 where F lives.
 
 A compact seed keeps the x frame, [0, support_upper] with plain panels
-and kernel J_nu(b x) from ``specfun.cylinder``.  In t its segment
-[0, b c] would move with b, so no node array would repeat and a table
-would only grow.  The substitution is left off it too: it bought
+and kernel J_nu(b x).  In t its segment [0, b c] would move with b and
+share nothing between rows.  The substitution is left off it too: it bought
 nothing there and cost the truncated power more forward evaluations.
 """
 
@@ -169,64 +165,31 @@ def _require_admissible(F: SeedFunction):
     return verdict
 
 
-def _forward_frame(F: SeedFunction, nu: float, b: float):
-    """How G(b) is integrated: (interval, kernel spec, head, t_per_x), with
-    G(b) = t_per_x^-2 int t F(t / t_per_x) C(t) dt over the interval and
-    C the spec's kernel.  A compact seed keeps x = t over [0, support_upper]
-    with kernel J_nu(b x); any other seed runs in t = b x over [0, inf) with
-    kernel J_nu(t), x = U s^2 on its head, and head [0, max(b, 10)], which is
-    [0, max(1, 10/b)] in x."""
-    if F.support_upper is not None:
-        return Interval.finite_from_zero(F.support_upper), OscillationSpec(nu, b), None, 1.0
-    iv = Interval.tail(0.0, quad.ALGEBRAIC_AT_LOWER)
-    return iv, OscillationSpec(nu, 1.0), max(b, 10.0), b
-
-
-# J_nu at the t-frame node arrays, one table per order: node bytes -> values
-_KERNEL_TABLES: dict[float, dict[bytes, np.ndarray]] = {}
-
-
-def _tabled_jv(nu: float, nodes: np.ndarray) -> np.ndarray:
-    """J_nu at a node array, each row of nodes looked up in the order's
-    table; every row not yet there is filled by one kernel call and stored
-    read-only.  Two threads that fill the same key store equal arrays."""
-    table = _KERNEL_TABLES.setdefault(nu, {})
-    keys = [t.tobytes() for t in nodes]
-    missing = {k: t for k, t in zip(keys, nodes) if k not in table}
-    if missing:
-        fresh = cylinder(nu, np.concatenate(list(missing.values())))
-        fresh.flags.writeable = False
-        end = 0
-        for k, t in missing.items():
-            table[k] = fresh[end:end + t.size]
-            end += t.size
-    return np.concatenate([table[k] for k in keys]).reshape(nodes.shape)
-
-
 def _forwards(F: SeedFunction, nu: float, bs, tol: float) -> list[QuadResult]:
-    """G(b) at every b in bs, as one batch of ``quad`` rows, one row per b:
-    the finite rule for a compact seed, the oscillatory rule in t = b x for
-    any other.  Each step evaluates every live row from one F call and one
-    J_nu evaluation (a table lookup in t), and each b gets exactly the
-    result it would get on its own."""
-    frames = [_forward_frame(F, nu, b) for b in bs]
-    freq, t_per_x = np.asarray([(osc.frequency, s) for _, osc, _, s in frames]).T
-    weight = 1.0 / (t_per_x * t_per_x)
-    compact = F.support_upper is not None
+    """G(b) at every b in bs, as one batch of ``quad`` rows, one row per b,
+    each step evaluating every live row from one F call and one J_nu call.
+    A compact seed keeps x = t over [0, support_upper], with kernel
+    J_nu(b x), through the finite rule.  Any other seed runs in t = b x,
+    G(b) = b^-2 int_0^inf t F(t/b) J_nu(t) dt, through the oscillatory rule,
+    with x = U s^2 on its head [0, max(b, 10)], which is [0, max(1, 10/b)]
+    in x.  Each b gets exactly the result it would get on its own."""
+    b = np.asarray(bs, dtype=float)
+    if F.support_upper is not None:
+
+        def values(rows, X):
+            return X * F(X.ravel()).reshape(X.shape) * cylinder(nu, b[rows, None] * X)
+
+        segment = Interval.finite_from_zero(F.support_upper)
+        return quad.integrate_finite(values, [segment] * b.size, tol)
+    weight = 1.0 / (b * b)
 
     def values(rows, T):
-        rows = np.asarray(rows)
-        if compact:
-            kernel = cylinder(nu, freq[rows, None] * T)
-        else:
-            kernel = _tabled_jv(nu, T)
-        X = T / t_per_x[rows, None]
-        return T * F(X.ravel()).reshape(T.shape) * weight[rows, None] * kernel
+        X = T / b[rows, None]
+        return T * F(X.ravel()).reshape(T.shape) * weight[rows, None] * cylinder(nu, T)
 
-    if compact:
-        return quad.integrate_finite(values, [iv for iv, *_ in frames], tol)
-    iv, osc = frames[0][:2]
-    return quad.integrate_oscillatory_tail(values, iv, osc, tol, [head for _, _, head, _ in frames])
+    iv = Interval.tail(0.0, quad.ALGEBRAIC_AT_LOWER)
+    heads = np.maximum(b, 10.0).tolist()
+    return quad.integrate_oscillatory_tail(values, iv, OscillationSpec(nu, 1.0), tol, heads)
 
 
 def hankel_forward(F: SeedFunction, nu: float, b: float, tol: float = 1e-9) -> QuadResult:
@@ -255,6 +218,7 @@ def hankel_inverse(
         Interval.full_half_line(),
         OscillationSpec(nu, r),
         tol,
+        lobes_per_step=1,
     )
 
 

@@ -22,9 +22,12 @@ return one result per row.  The integrand is called as f(rows, nodes),
 once per step for every row still running, with one row of nodes per
 row; all other state (bisection heaps, partial sums, extrapolation
 tables) is kept row by row, so each row gets exactly the result it would
-get alone.  ``integrate_entry`` is a batch of one row; ``hankel``
-integrates all forward transforms of one inverse node request as one
-batch.
+get alone.  A step of the oscillatory rule integrates the next three
+lobes of each row, which takes their sums one at a time and drops those
+past its exit; ``hankel``'s inverse steps one lobe at a time, since each
+of its lobes costs a batch of forward transforms.  ``integrate_entry``
+is a batch of one row; ``hankel`` integrates all forward transforms of
+one inverse node request as one batch.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ __all__ = [
 DEFAULT_BUDGET = 2_000_000
 # lobes of partial sums that one Wynn epsilon table spans
 _EPSILON_WINDOW = 12
+# lobes of each row that one step of the tail rule integrates
+_LOBES_PER_STEP = 3
 
 ALGEBRAIC_AT_LOWER = "algebraic_at_lower"
 ALGEBRAIC_AT_UPPER = "algebraic_at_upper"
@@ -469,8 +474,9 @@ class _Lobes:
 
     def add(self, lobe, b, passed, tol):
         """Take the sum of the lobe that ends at break b, past ``passed``
-        kernel zeros; returns the QuadResult once an exit fires, else None."""
-        self.evals = evals = self.evals + _LOBE_NODES
+        kernel zeros; returns the QuadResult once an exit fires, else None.
+        The caller adds each block's nodes to ``evals`` before its lobes."""
+        evals = self.evals
         self.n = n = self.n + 1
         self.total = total = self.total + lobe
         mag, prev_mag = abs(lobe), self.mag
@@ -521,6 +527,7 @@ def integrate_oscillatory_tail(
     heads,
     budget: int = DEFAULT_BUDGET,
     max_lobes: int = 220,
+    lobes_per_step: int = _LOBES_PER_STEP,
 ) -> list:
     """Oscillatory rule over [iv.lower, inf), one row for each entry of
     ``heads``; returns one QuadResult per row.
@@ -533,8 +540,17 @@ def integrate_oscillatory_tail(
     Gauss-Legendre rule, which adds no error estimate of its own.  A row's
     head, up to the first break at or past its ``heads`` entry (None for
     iv.lower + max(1, 10 / frequency)), goes through the finite rule, all
-    rows' heads in one call.  Then each step
-    integrates the next lobe of every live row with one call of ``f``.
+    rows' heads in one call.  Then each step integrates the next
+    ``lobes_per_step`` lobes of every live row with one call of ``f``, a
+    row of 12 nodes a lobe; rows whose limit cuts their block shorter take
+    a call of their own.  Each row takes the lobe sums one at a time and
+    drops those that follow its exit, so its value, bound and exit do not
+    depend on ``lobes_per_step``; its ``evaluations`` count every node
+    evaluated, the dropped lobes of its last block included, but never
+    past its limit of ``max_lobes`` lobes or ``budget`` evaluations.
+    ``hankel_inverse`` takes one lobe a step: a lobe of the inverse costs
+    a batch of forward transforms, and three a step save most on the
+    truncated-power inverses near r = 1, whose error bounds are not honest.
     Two extrapolators run side by side on each row's partial sums: Wynn's
     epsilon algorithm over the newest ``_EPSILON_WINDOW`` (12) sums, for
     sums that alternate, and a constant-phase fit (``_period_fit``) of the
@@ -568,16 +584,28 @@ def integrate_oscillatory_tail(
     limits = [min(max_lobes, -(-(budget - row.evals) // _LOBE_NODES)) for row in rows]
     results = [None] * len(rows)
     live = [k for k, limit in enumerate(limits) if limit > 0]
-    n = 0  # every live row integrates its n-th lobe at step n
+    starts = np.asarray(starts)
+    n = 0  # every live row has taken n lobes
     while live:
-        lobe = [starts[k] + n for k in live]
-        stream.through(max(lobe))
-        h = stream.half_widths.take(lobe)
-        sums = (h * np.vecdot(f(live, stream.nodes.take(lobe, axis=0)), _WLOBE)).tolist()
-        points, passed = stream.points, stream.zeros_passed
-        for k, j, s in zip(live, lobe, sums):
-            results[k] = rows[k].add(s, points[j + 1], passed[j + 1], tol)
-        n += 1
+        # a row's block stops at its limit; rows of one block size share a call
+        blocks = {}
+        for k in live:
+            blocks.setdefault(min(lobes_per_step, limits[k] - n), []).append(k)
+        for size, ks in blocks.items():
+            lobe = starts[ks, None] + np.arange(n, n + size)
+            stream.through(int(lobe[:, -1].max()))
+            y = f(ks, stream.nodes.take(lobe, axis=0).reshape(len(ks), -1))
+            y = y.reshape(len(ks), size, _LOBE_NODES)
+            sums = (stream.half_widths.take(lobe) * np.vecdot(y, _WLOBE)).tolist()
+            points, passed = stream.points, stream.zeros_passed
+            for k, js, block in zip(ks, lobe.tolist(), sums):
+                row = rows[k]
+                row.evals += _LOBE_NODES * size
+                for j, s in zip(js, block):
+                    results[k] = row.add(s, points[j + 1], passed[j + 1], tol)
+                    if results[k] is not None:
+                        break
+        n += lobes_per_step
         live = [k for k in live if results[k] is None and n < limits[k]]
     return [res or row.unconverged() for res, row in zip(results, rows)]
 
@@ -590,6 +618,7 @@ def integrate_entry(
     head: Optional[float] = None,
     budget: int = DEFAULT_BUDGET,
     max_lobes: int = 220,
+    lobes_per_step: int = _LOBES_PER_STEP,
 ) -> QuadResult:
     """Integrate f over ``iv``: the finite rule on a finite segment, the
     oscillatory rule on an infinite one, as a batch of one row.
@@ -605,4 +634,6 @@ def integrate_entry(
         return integrate_finite(full, [iv], tol, budget)[0]
     if osc is None:
         raise ValueError("an infinite interval needs an oscillation spec")
-    return integrate_oscillatory_tail(full, iv, osc, tol, [head], budget, max_lobes)[0]
+    return integrate_oscillatory_tail(
+        full, iv, osc, tol, [head], budget, max_lobes, lobes_per_step
+    )[0]

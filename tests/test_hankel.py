@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from hankel_dual import hankel, quad
+from hankel_dual import quad
 from hankel_dual.errors import AdmissibilityError, InconclusiveConditionError
 from hankel_dual.hankel import (
     SeedFunction,
-    _forward_frame,
     _forwards,
     check_condition,
     dual_roundtrip,
     hankel_forward,
     hankel_inverse,
 )
-from hankel_dual.specfun import cylinder
 
 
 def gaussian_seed():
@@ -208,7 +206,12 @@ def test_lockstep_forward_equals_one_transform_at_a_time(F, nu):
     batch = _forwards(F, nu, bs, tol)
     for b, res in zip(bs, batch):
         alone = hankel_forward(F, nu, b, tol)
-        iv, osc, head, t_per_x = _forward_frame(F, nu, b)
+        if F.support_upper is None:  # t = b x over [0, inf), head [0, max(b, 10)]
+            iv = quad.Interval.tail(0.0, quad.ALGEBRAIC_AT_LOWER)
+            osc, head, t_per_x = quad.OscillationSpec(nu, 1.0), max(b, 10.0), b
+        else:  # x over [0, support_upper], kernel J_nu(b x)
+            iv = quad.Interval.finite_from_zero(F.support_upper)
+            osc, head, t_per_x = quad.OscillationSpec(nu, b), None, 1.0
         weight = 1.0 / (t_per_x * t_per_x)
         plain = quad.integrate_entry(
             lambda t: t * F(t / t_per_x) * weight, iv, osc, tol, head=head
@@ -239,31 +242,12 @@ def test_t_frame_forward_agrees_with_x_frame(F, nu):
         assert abs(t_res.value - x_res.value) <= 5.0 * t_res.abs_err, (F.name, b, t_res, x_res)
 
 
-def test_repeated_roundtrip_reuses_kernel_table(monkeypatch):
-    # every b of a non-compact forward shares the t-frame nodes, so a
-    # second identical round trip finds J_nu at every node array it needs
-    F = gaussian_seed()
-    ((_, first),) = dual_roundtrip(F, 0.0, [1.0])
-    calls = []
-
-    def kernel(nu, t, kind="j"):
-        calls.append(np.size(t))
-        return cylinder(nu, t, kind)
-
-    monkeypatch.setattr(hankel, "cylinder", kernel)
-    ((_, second),) = dual_roundtrip(F, 0.0, [1.0])
-    assert calls == []
-    assert second == first
-    tables = hankel._KERNEL_TABLES[0.0]
-    assert all(not values.flags.writeable for values in tables.values())
-
-
-def test_kernel_table_shared_between_threads(monkeypatch):
-    # threads that fill one table at once must each get the serial result
+def test_forwards_from_threads_equal_serial():
+    # forward batches run at once from several threads must each get the
+    # serial result
     F, nu = power_exp_seed(1.0), 1.0
     bs = np.geomspace(0.05, 50.0, 12).tolist()
     serial = _forwards(F, nu, bs, 1e-10)
-    monkeypatch.setattr(hankel, "_KERNEL_TABLES", {})
     got, errors = {}, []
 
     def work(k):

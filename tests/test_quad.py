@@ -11,16 +11,21 @@ from hypothesis import strategies as st
 from hankel_dual.quad import (
     _EPSILON_WINDOW,
     _HINTS,
+    _LOBE_NODES,
+    _LOBES_PER_STEP,
+    _WLOBE,
     ALGEBRAIC_AT_LOWER,
     ALGEBRAIC_AT_UPPER,
     Interval,
     OscillationSpec,
+    QuadResult,
     epsilon_extrapolate,
     integrate_entry,
     integrate_finite,
     integrate_oscillatory_tail,
     _BreakStream,
     _EpsilonTable,
+    _Lobes,
     _WG10,
     _WK21,
     _XK21,
@@ -452,6 +457,62 @@ def test_tail_rows_stop_alone():
     assert abs(batch[2].value - 0.5) <= 5.0 * batch[2].abs_err
     assert not batch[3].converged and batch[3].evaluations < budget
     assert not batch[4].converged and batch[4].evaluations >= budget
+
+
+def _one_lobe_a_step(f, iv, osc, tol, head, budget, max_lobes):
+    """The tail rule for one row, one lobe a step, as a loop over a break
+    stream and a row of partial sums: (result, head evaluations, lobes
+    taken, lobe limit)."""
+    stream = _BreakStream(osc, iv.lower)
+    first = iv.lower + max(1.0, 10.0 / osc.frequency) if head is None else max(head, iv.lower)
+    start = stream.snap(first)
+    end = stream.points[start]
+    if end > iv.lower:
+        segment = Interval.segment(iv.lower, end, iv.singularity_hint)
+        head_res = integrate_entry(f, segment, osc, 0.25 * tol, budget=budget)
+    else:
+        head_res = QuadResult(0.0, 0.0, 0, True)
+    row = _Lobes(head_res)
+    limit = max(0, min(max_lobes, -(-(budget - row.evals) // _LOBE_NODES)))
+    for n in range(limit):
+        j = start + n
+        stream.through(j)
+        y = np.asarray(f(stream.nodes[j]), dtype=float) * osc.kernel(stream.nodes[j])
+        row.evals += _LOBE_NODES
+        res = row.add(stream.half_widths[j] * np.vecdot(y, _WLOBE),
+                      stream.points[j + 1], stream.zeros_passed[j + 1], tol)
+        if res is not None:
+            return res, head_res.evaluations, n + 1, limit
+    return row.unconverged(), head_res.evaluations, limit, limit
+
+
+def test_lobe_blocks_match_one_lobe_a_step():
+    # three lobes a step leave every value, bound and exit as one lobe a
+    # step leaves them; evaluations count the lobes of a row's last block,
+    # clipped at its limit, and one lobe a step counts the lobes taken
+    osc = OscillationSpec(1.0, 1.0)
+    tol, budget = 1e-7, 3000
+    iv = Interval.full_half_line()
+    cases = [
+        (lambda t: np.exp(-t), None, 80),  # direct summation
+        (lambda t: 1.0 / (1.0 + t), None, 80),  # Wynn epsilon
+        (lambda t: sp.jv(1.0, t) / t, None, 80),  # period fit: J_1^2 / t
+        (lambda t: np.cos(t * t), None, 80),  # no exit within max_lobes
+        (lambda t: 1.0 / (1.0 + t), 2000.0, 80),  # the head spends the budget
+        (lambda t: np.exp(-0.2 * t), 30.0, 80),  # a later first lobe
+        (lambda t: 1.0 / (1.0 + t), None, 7),  # max_lobes not a multiple of 3
+    ]
+    for f, head, max_lobes in cases:
+        oracle, head_evals, taken, limit = _one_lobe_a_step(f, iv, osc, tol, head, budget, max_lobes)
+        blocks = -(-taken // _LOBES_PER_STEP) * _LOBES_PER_STEP
+        expected = head_evals + _LOBE_NODES * min(blocks, limit)
+        for per_step, evals in ((_LOBES_PER_STEP, expected), (1, oracle.evaluations)):
+            res = integrate_entry(f, iv, osc, tol, head, budget, max_lobes, per_step)
+            assert (res.value, res.abs_err, res.converged) == (
+                oracle.value, oracle.abs_err, oracle.converged
+            ), (head, max_lobes, per_step)
+            assert res.evaluations == evals, (head, max_lobes, per_step)
+    assert oracle.evaluations == head_evals + _LOBE_NODES * 7 and not oracle.converged
 
 
 def test_finite_rows_stop_alone():
