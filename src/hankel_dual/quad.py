@@ -548,9 +548,9 @@ def integrate_oscillatory_tail(
     depend on ``lobes_per_step``; its ``evaluations`` count every node
     evaluated, the dropped lobes of its last block included, but never
     past its limit of ``max_lobes`` lobes or ``budget`` evaluations.
-    ``hankel_inverse`` takes one lobe a step: a lobe of the inverse costs
-    a batch of forward transforms, and three a step save most on the
-    truncated-power inverses near r = 1, whose error bounds are not honest.
+    ``hankel_inverse`` takes one lobe a step: each of its lobes costs a
+    batch of forward transforms, and three a step would save most on the
+    truncated-power inverses near r = 1 that fail anyway.
     Two extrapolators run side by side on each row's partial sums: Wynn's
     epsilon algorithm over the newest ``_EPSILON_WINDOW`` (12) sums, for
     sums that alternate, and a constant-phase fit (``_period_fit``) of the

@@ -503,7 +503,9 @@ def test_lobe_blocks_match_one_lobe_a_step():
         (lambda t: 1.0 / (1.0 + t), None, 7),  # max_lobes not a multiple of 3
     ]
     for f, head, max_lobes in cases:
-        oracle, head_evals, taken, limit = _one_lobe_a_step(f, iv, osc, tol, head, budget, max_lobes)
+        oracle, head_evals, taken, limit = _one_lobe_a_step(
+            f, iv, osc, tol, head, budget, max_lobes
+        )
         blocks = -(-taken // _LOBES_PER_STEP) * _LOBES_PER_STEP
         expected = head_evals + _LOBE_NODES * min(blocks, limit)
         for per_step, evals in ((_LOBES_PER_STEP, expected), (1, oracle.evaluations)):
