@@ -30,7 +30,7 @@ from .quad import (
     OscillationSpec,
     QuadResult,
 )
-from .specfun import bessel_zeros, struve_minus_y
+from .specfun import struve_minus_y
 from .specfun import _hyp2f1_terminating_array, _legendre_p0_array, _legendre_q0_array
 
 __all__ = [
@@ -101,14 +101,15 @@ class Piece:
 
     ``integrand`` builds the smooth factor when ``osc`` is given (the
     Bessel kernel is supplied by the oscillation spec), or the full
-    integrand for finite / non-oscillatory intervals.
+    integrand for finite / non-oscillatory intervals.  A second Bessel
+    factor, such as one of sqrt(t), belongs to the smooth factor: the
+    lobes end at kernel zeros only, and every tail takes the oscillatory
+    rule's default head and lobe limit.
     """
 
     integrand: Callable[[ParamPoint], Callable[[np.ndarray], np.ndarray]]
     interval: Callable[[ParamPoint], Interval]
     osc: Optional[Callable[[ParamPoint], OscillationSpec]] = None
-    head: Optional[Callable[[ParamPoint], float]] = None
-    max_lobes: int = 220
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,6 @@ class IntegralEntry:
                 piece.interval(params),
                 piece.osc(params) if piece.osc is not None else None,
                 per_piece,
-                head=piece.head(params) if piece.head is not None else None,
-                max_lobes=piece.max_lobes,
             )
             value += res.value
             abs_err += res.abs_err
@@ -808,12 +807,6 @@ def _build_entries() -> list:
 
     # ---- group 3: Bessel and Struve factors ----
 
-    def _sqrt_breaks(order, scale, kind="j"):
-        """Breaks of J/Y_order(scale*sqrt(u)) as a function of u."""
-        def mk(m):
-            return (bessel_zeros(order, m, kind) / scale) ** 2
-        return mk
-
     E.append(IntegralEntry(
         id="T14",
         group=3,
@@ -830,10 +823,7 @@ def _build_entries() -> list:
         pieces=(Piece(
             integrand=lambda P: (lambda u: _sp.jv(2.0 * P["nu"], 2.0 * np.sqrt(u))),
             interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(
-                P["nu"], P["z"], "j", _sqrt_breaks(2.0 * P["nu"], 2.0)
-            ),
-            head=lambda P: 45.0 / min(1.0, P["z"]) ** 2,
+            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
         ),),
     ))
 
@@ -895,10 +885,7 @@ def _build_entries() -> list:
                 - 0.5 * math.pi * _sp.yv(2.0 * P["nu"], 2.0 * np.sqrt(u))
             )),
             interval=lambda P: Interval.tail(0.0, ALGEBRAIC_AT_LOWER),
-            osc=lambda P: OscillationSpec(
-                P["nu"], P["z"], "j", _sqrt_breaks(2.0 * P["nu"], 2.0, "y")
-            ),
-            head=lambda P: 45.0 / min(1.0, P["z"]) ** 2,
+            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
         ),),
     ))
 
@@ -925,10 +912,7 @@ def _build_entries() -> list:
         pieces=(Piece(
             integrand=lambda P: (lambda t: 2.0 * _sp.jv(2.0 * P["nu"], 2.0 * P["z"] * np.sqrt(t))),
             interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(
-                P["nu"], 1.0, "j", _sqrt_breaks(2.0 * P["nu"], 2.0 * P["z"])
-            ),
-            head=lambda P: 40.0 * max(1.0, P["z"] ** 2),
+            osc=lambda P: OscillationSpec(P["nu"], 1.0),
         ),),
     ))
 
@@ -981,10 +965,7 @@ def _build_entries() -> list:
         pieces=(Piece(
             integrand=lambda P: (lambda t: 2.0 * _sp.jv(P["mu"], 2.0 * P["z"] * np.sqrt(t))),
             interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(
-                P["mu"] / 2.0, 1.0, "j", _sqrt_breaks(P["mu"], 2.0 * P["z"])
-            ),
-            head=lambda P: 40.0 * max(1.0, P["z"] ** 2),
+            osc=lambda P: OscillationSpec(P["mu"] / 2.0, 1.0),
         ),),
     ))
 
@@ -1009,11 +990,7 @@ def _build_entries() -> list:
                 lambda t: 0.5 * np.sqrt(t) * _sp.jv(2.0 * P["nu"], P["z"] * np.sqrt(t))
             ),
             interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(
-                P["nu"] + 0.5, 1.0, "j", _sqrt_breaks(2.0 * P["nu"], P["z"])
-            ),
-            head=lambda P: 4.0 * P["z"] ** 2 + 40.0,
-            max_lobes=400,
+            osc=lambda P: OscillationSpec(P["nu"] + 0.5, 1.0),
         ),),
     ))
 
@@ -1038,11 +1015,7 @@ def _build_entries() -> list:
                 lambda t: 0.5 * np.sqrt(t) * _sp.jv(2.0 * P["nu"], P["z"] * np.sqrt(t))
             ),
             interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(
-                P["nu"] - 0.5, 1.0, "j", _sqrt_breaks(2.0 * P["nu"], P["z"])
-            ),
-            head=lambda P: 4.0 * P["z"] ** 2 + 40.0,
-            max_lobes=400,
+            osc=lambda P: OscillationSpec(P["nu"] - 0.5, 1.0),
         ),),
     ))
 
@@ -1075,10 +1048,7 @@ def _build_entries() -> list:
             Piece(
                 integrand=lambda P: (lambda t: 2.0 * _sp.jv(P["nu"], 2.0 * P["z"] * np.sqrt(t))),
                 interval=lambda P: Interval.tail(36.0),
-                osc=lambda P: OscillationSpec(
-                    P["nu"] / 2.0, 1.0, "y", _sqrt_breaks(P["nu"], 2.0 * P["z"])
-                ),
-                head=lambda P: 36.0 + 16.0 * P["z"] ** 2,
+                osc=lambda P: OscillationSpec(P["nu"] / 2.0, 1.0, "y"),
             ),
             Piece(
                 integrand=lambda P: (lambda u: (
@@ -1086,7 +1056,6 @@ def _build_entries() -> list:
                 )),
                 interval=lambda P: Interval.tail(12.0),
                 osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-                max_lobes=400,
             ),
         ),
     ))

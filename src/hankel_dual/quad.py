@@ -35,8 +35,8 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -116,19 +116,15 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class OscillationSpec:
-    """Kernel structure of the integrand: a cylinder function of a
-    linear argument, plus optional additional break points contributed
-    by a second oscillatory factor (e.g. a Bessel factor with a
-    square-root argument, whose zeros must also partition the axis).
-    ``extra_breaks(m)`` returns the first m of those points, increasing.
-    """
+    """Kernel structure of the integrand: a cylinder function
+    C_nu(frequency * t) of a linear argument, whose zeros partition the
+    axis into lobes.  Any other oscillatory factor, e.g. a Bessel factor
+    of sqrt(t), is part of the smooth factor and is left to the
+    extrapolators."""
 
     bessel_order: float
     frequency: float
     kind: str = "j"
-    extra_breaks: Optional[Callable[[int], np.ndarray]] = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self):
         if not (0.0 < self.frequency < math.inf):
@@ -379,13 +375,12 @@ _TK21_MIN = float(_TK21[0])
 
 
 class _BreakStream:
-    """Merged, increasing stream of kernel zeros and extra break points,
+    """Increasing stream of the scaled kernel zeros clear of the start,
     with the Gauss-Legendre nodes of the lobes between them.
 
-    ``points`` lists the break points (the 0-th is the start), lobe j is
-    [points[j], points[j + 1]] with half width ``half_widths[j]`` and
-    nodes ``nodes[j]``, and ``zeros_passed[j]`` counts the kernel zeros
-    at or below points[j].
+    ``points`` lists the break points (the 0-th is the start), and lobe j
+    is [points[j], points[j + 1]] with half width ``half_widths[j]`` and
+    nodes ``nodes[j]``; every lobe ends at a kernel zero.
     """
 
     def __init__(self, osc: OscillationSpec, start: float):
@@ -394,30 +389,19 @@ class _BreakStream:
         self.points = [start]
 
     def _grow(self):
-        """Compute 96 more kernel zeros and 96 more extra breaks and list
-        the merged points only up to the smaller of the two sequences'
-        last computed points, where neither has a gap, dropping any point
-        within 0.05 pi / frequency of the one before."""
+        """Compute 96 more kernel zeros and list every one more than
+        0.05 pi / frequency past the start.  Kernel zeros lie more than
+        2.5 / frequency apart, so every zero past the first one clear of
+        the start clears the one before."""
         osc = self.osc
         self._n += 96
         kernel = bessel_zeros(osc.bessel_order, self._n, osc.kind) / osc.frequency
-        keep = self.points[:1]
-        min_gap = 0.05 * math.pi / osc.frequency
-        if osc.extra_breaks is None:
-            # kernel zeros lie more than 2.5 / frequency apart, so every zero
-            # past the first one clear of the start clears the one before
-            keep += kernel[kernel - keep[0] > min_gap].tolist()
-        else:
-            extra = np.asarray(osc.extra_breaks(self._n), dtype=float)
-            pts, end = np.concatenate([kernel, extra]), min(kernel[-1], extra[-1])
-            for p in np.sort(pts[pts <= end]).tolist():
-                if p - keep[-1] > min_gap:
-                    keep.append(p)
+        start = self.points[0]
+        keep = [start] + kernel[kernel - start > 0.05 * math.pi / osc.frequency].tolist()
         self.points = keep
         x = np.asarray(keep)
         self.half_widths = 0.5 * (x[1:] - x[:-1])
         self.nodes = x[:-1, None] + self.half_widths[:, None] * _TLOBE
-        self.zeros_passed = kernel.searchsorted(x * (1.0 + 1e-12), side="right").tolist()
 
     def through(self, j: int):
         """Make lobe j available."""
@@ -458,23 +442,23 @@ def _period_fit(ts: np.ndarray, ss: np.ndarray) -> tuple[float, float]:
 class _Lobes:
     """One row of the oscillatory rule past its head: the partial sums and
     their two extrapolators, Wynn's epsilon table over a window of lobes
-    and the constant-phase fit of the sums at every second kernel zero."""
+    and the constant-phase fit of the sums at every second lobe's end, a
+    kernel zero."""
 
     __slots__ = ("evals", "n", "total", "head_err", "mag", "table", "period_t",
-                 "period_s", "zeros_passed", "crossings", "recent", "best_val", "best_raw")
+                 "period_s", "recent", "best_val", "best_raw")
 
     def __init__(self, head: QuadResult):
         self.evals, self.n = head.evaluations, 0
         self.total, self.head_err, self.mag = head.value, head.abs_err, math.inf
         self.table = _EpsilonTable()
         self.period_t, self.period_s = [], []
-        self.zeros_passed = self.crossings = 0
         self.recent = (None, None)  # the last two finite epsilon estimates, newest first
         self.best_val, self.best_raw = head.value, math.inf
 
-    def add(self, lobe, b, passed, tol):
-        """Take the sum of the lobe that ends at break b, past ``passed``
-        kernel zeros; returns the QuadResult once an exit fires, else None.
+    def add(self, lobe, b, tol):
+        """Take the sum of the lobe that ends at kernel zero b; returns the
+        QuadResult once an exit fires, else None.
         The caller adds each block's nodes to ``evals`` before its lobes."""
         evals = self.evals
         self.n = n = self.n + 1
@@ -498,19 +482,16 @@ class _Lobes:
                     if raw < 0.3 * tol and drift < 0.3 * tol:
                         abs_err = max(2.0 * max(raw, drift) + self.head_err, 1e-16)
                         return QuadResult(est, abs_err, evals, abs_err <= tol)
-        if passed > self.zeros_passed:
-            self.zeros_passed = passed
-            self.crossings += 1
-            if self.crossings % 2 == 0:
-                self.period_t.append(b)
-                self.period_s.append(total)
-                if len(self.period_t) >= 18:
-                    est, raw = _period_fit(np.asarray(self.period_t), np.asarray(self.period_s))
-                    if raw < self.best_raw:
-                        self.best_val, self.best_raw = est, raw
-                    if raw < 0.3 * tol:
-                        abs_err = max(2.0 * raw + self.head_err, 1e-16)
-                        return QuadResult(est, abs_err, evals, abs_err <= tol)
+        if n % 2 == 0:
+            self.period_t.append(b)
+            self.period_s.append(total)
+            if len(self.period_t) >= 18:
+                est, raw = _period_fit(np.asarray(self.period_t), np.asarray(self.period_s))
+                if raw < self.best_raw:
+                    self.best_val, self.best_raw = est, raw
+                if raw < 0.3 * tol:
+                    abs_err = max(2.0 * raw + self.head_err, 1e-16)
+                    return QuadResult(est, abs_err, evals, abs_err <= tol)
         return None
 
     def unconverged(self) -> QuadResult:
@@ -534,8 +515,7 @@ def integrate_oscillatory_tail(
 
     ``f(rows, t)`` returns the full integrand, f(t) * C_nu(frequency*t),
     at a node array t with one row of nodes for each index in ``rows``.
-    The axis is partitioned at the scaled kernel zeros (united with any
-    extra break sequence declared on the oscillation spec), one stream of
+    The axis is partitioned at the scaled kernel zeros, one stream of
     breaks for all rows, and each lobe is integrated with a 12-point
     Gauss-Legendre rule, which adds no error estimate of its own.  A row's
     head, up to the first break at or past its ``heads`` entry (None for
@@ -597,12 +577,12 @@ def integrate_oscillatory_tail(
             y = f(ks, stream.nodes.take(lobe, axis=0).reshape(len(ks), -1))
             y = y.reshape(len(ks), size, _LOBE_NODES)
             sums = (stream.half_widths.take(lobe) * np.vecdot(y, _WLOBE)).tolist()
-            points, passed = stream.points, stream.zeros_passed
+            points = stream.points
             for k, js, block in zip(ks, lobe.tolist(), sums):
                 row = rows[k]
                 row.evals += _LOBE_NODES * size
                 for j, s in zip(js, block):
-                    results[k] = row.add(s, points[j + 1], passed[j + 1], tol)
+                    results[k] = row.add(s, points[j + 1], tol)
                     if results[k] is not None:
                         break
         n += lobes_per_step

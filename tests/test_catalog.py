@@ -171,11 +171,23 @@ def test_lhs_matches_rhs_smoke(entry_id):
 
 
 @pytest.mark.parametrize(
-    "entry_id,params", [("T17a", {"nu": 0.5, "z": 2.7}), ("T18", {"mu": 0.6, "z": 2.7})]
+    "entry_id,params",
+    [
+        ("T17a", {"nu": 0.5, "z": 2.7}),
+        ("T18", {"mu": 0.6, "z": 2.7}),
+        ("T20", {"nu": 0.471613, "z": 1.0}),
+        ("T18", {"mu": 0.655414, "z": 1.4043}),
+        ("T18", {"mu": 0.6, "z": 2.0}),
+        ("T16", {"nu": 0.0, "z": 0.3}),
+        ("T14", {"nu": 1.0, "z": 0.5}),
+        ("T17a", {"nu": -0.23, "z": 1.2}),
+    ],
 )
 def test_chirped_entry_off_grid_within_its_bound(entry_id, params):
-    # off the default grid the modulator's breaks outrun the first table of
-    # kernel zeros; every lobe must still end at the next zero of either
+    # a Bessel factor of sqrt(t) chirps against the kernel; lobes cut at its
+    # zeros too would be irregular, and Wynn's epsilon on their sums claims
+    # bounds up to 22x under the error at these off-grid points.  Lobes end
+    # at kernel zeros only, and each row must stay within its bound
     e = entry_by_id(entry_id)
     P = ParamPoint.of(**params)
     res = e.lhs(P)
@@ -214,8 +226,8 @@ def test_t11_below_rounding_stays_finite(grid_index):
 
 @pytest.mark.parametrize("nu", [-0.3, -0.45])
 def test_t16_below_minus_quarter_has_its_zeros(nu):
-    # |nu| < 1/2 lets the Y_(2 nu) breaks have order 2 nu < -1/2, below
-    # which bessel_zeros once raised DomainError
+    # |nu| < 1/2 lets the Y_(2 nu) factor have order 2 nu < -1/2; the
+    # entry must stay honest there
     e = entry_by_id("T16")
     P = ParamPoint.of(nu=nu, z=1.0)
     res = e.lhs(P)

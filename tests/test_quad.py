@@ -361,37 +361,6 @@ def test_period_acceleration_same_frequency_product():
     assert abs(res.value - 0.5) < 1e-7
 
 
-def test_extra_breaks_partition_chirped_modulator():
-    # int_0^inf J_0(2 sqrt(t)) J_0(t) dt: without partitioning at the
-    # modulator zeros the lobe sums are not alternating near the origin
-    breaks = lambda m: (sp.jn_zeros(0, m) / 2.0) ** 2
-    res = integrate_entry(
-        lambda t: sp.jv(0.0, 2.0 * np.sqrt(t)),
-        Interval.full_half_line(),
-        OscillationSpec(0.0, 1.0, extra_breaks=breaks),
-        tol=1e-7,
-        head=45.0,
-    )
-    # closed form: J_0(1)  (standard chirped-kernel pair)
-    assert res.converged
-    assert abs(res.value - sp.jv(0.0, 1.0)) <= 5.0 * res.abs_err
-
-
-def test_extra_breaks_past_last_kernel_zero():
-    # the same integral with its lobes starting at t = 280, past the 96
-    # kernel zeros of the first break table: the partition there must
-    # still hold every kernel zero, not the sparse modulator zeros alone
-    breaks = lambda m: (sp.jn_zeros(0, m) / 2.0) ** 2
-    res = integrate_entry(
-        lambda t: sp.jv(0.0, 2.0 * np.sqrt(t)),
-        Interval.full_half_line(),
-        OscillationSpec(0.0, 1.0, extra_breaks=breaks),
-        tol=1e-7,
-        head=280.0,
-    )
-    assert abs(res.value - sp.jv(0.0, 1.0)) <= 5.0 * res.abs_err
-
-
 @pytest.mark.parametrize(
     "osc,start",
     [
@@ -404,8 +373,10 @@ def test_extra_breaks_past_last_kernel_zero():
     ],
 )
 def test_break_stream_keeps_the_merge_loops_points(osc, start):
-    # without extra breaks the stream keeps the kernel zeros clear of the
-    # start as one array; the merge loop it replaces keeps the same points
+    # the stream keeps, as one array, every kernel zero more than
+    # 0.05 pi / frequency past the start; the point-by-point merge loop it
+    # replaced, which dropped each zero too close to the last point kept,
+    # is the reference here and must list the same points
     stream = _BreakStream(osc, start)
     for n in (96, 192, 288):
         stream.through(len(stream.points) - 1)
@@ -479,8 +450,7 @@ def _one_lobe_a_step(f, iv, osc, tol, head, budget, max_lobes):
         stream.through(j)
         y = np.asarray(f(stream.nodes[j]), dtype=float) * osc.kernel(stream.nodes[j])
         row.evals += _LOBE_NODES
-        res = row.add(stream.half_widths[j] * np.vecdot(y, _WLOBE),
-                      stream.points[j + 1], stream.zeros_passed[j + 1], tol)
+        res = row.add(stream.half_widths[j] * np.vecdot(y, _WLOBE), stream.points[j + 1], tol)
         if res is not None:
             return res, head_res.evaluations, n + 1, limit
     return row.unconverged(), head_res.evaluations, limit, limit

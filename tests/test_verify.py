@@ -67,10 +67,10 @@ def test_parallel_matches_serial():
 
 
 def test_catalog_evaluation_ratchet():
-    # the whole catalog spends 37,278 integrand evaluations on Kronrod 10/21
-    # panels and 12-point lobes, three lobes a step, counting the lobes
-    # integrated past a row's exit; it may not climb back past 0.7x the
-    # 69,922 the earlier 37-node panels and 25-point lobes spent
+    # the whole catalog spends 32,220 integrand evaluations on Kronrod 10/21
+    # panels and 12-point lobes between kernel zeros, three lobes a step,
+    # counting the lobes integrated past a row's exit; it may not climb back
+    # past 0.7x the 69,922 the earlier 37-node panels and 25-point lobes spent
     report = verify.run_all(jobs=1)
     assert all(r.status == verify.PASS for r in report.rows)
     assert sum(r.evaluations for r in report.rows) <= 48_945
