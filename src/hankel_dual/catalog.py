@@ -30,8 +30,7 @@ from .quad import (
     OscillationSpec,
     QuadResult,
 )
-from .specfun import struve_minus_y
-from .specfun import _hyp2f1_terminating_array, _legendre_p0_array, _legendre_q0_array
+from .specfun import hyp2f1_terminating, legendre_p0, legendre_q0, struve_minus_y
 
 __all__ = [
     "ParamPoint",
@@ -1203,7 +1202,7 @@ def _build_entries() -> list:
         pieces=(Piece(
             integrand=lambda P: (lambda u: (
                 _sp.jv(P["nu"] - P["n"] - 1.0, u * P["t"])
-                * _hyp2f1_terminating_array(
+                * hyp2f1_terminating(
                     P["nu"], int(P["n"]), P["nu"] - P["n"], (u / P["alpha"]) ** 2
                 )
                 * u ** (P["nu"] - P["n"])
@@ -1237,7 +1236,7 @@ def _build_entries() -> list:
         tol_class="Oscillatory",
         pieces=(Piece(
             integrand=lambda P: (lambda u: (
-                _hyp2f1_terminating_array(
+                hyp2f1_terminating(
                     P["mu"], int(P["n"]), P["mu"] - P["n"], (P["beta"] / u) ** 2
                 )
                 * u ** (P["n"] - P["mu"] + 1.0)
@@ -1268,8 +1267,8 @@ def _build_entries() -> list:
         tol_class="Oscillatory",
         pieces=(Piece(
             integrand=lambda P: (lambda u: (
-                lambda w: _legendre_p0_array(P["nu"] / 2.0 - 0.5, w)
-                * _legendre_q0_array(P["nu"] / 2.0 - 0.5, w)
+                lambda w: legendre_p0(P["nu"] / 2.0 - 0.5, w)
+                * legendre_q0(P["nu"] / 2.0 - 0.5, w)
             )(_legendre_w(u))),
             interval=lambda P: Interval.full_half_line(),
             osc=lambda P: OscillationSpec(P["nu"], P["z"]),
@@ -1294,7 +1293,7 @@ def _build_entries() -> list:
         tol_class="Oscillatory",
         pieces=(Piece(
             integrand=lambda P: (lambda u: (
-                _legendre_q0_array(P["nu"] / 2.0 - 0.5, _legendre_w(u)) ** 2
+                legendre_q0(P["nu"] / 2.0 - 0.5, _legendre_w(u)) ** 2
             )),
             interval=lambda P: Interval.full_half_line(),
             osc=lambda P: OscillationSpec(P["nu"], P["z"]),

@@ -9,16 +9,8 @@ class DomainError(HankelDualError, ValueError):
     """Argument outside the mathematical domain of the function."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested exactly at a pole."""
-
-
 class ParameterError(HankelDualError, ValueError):
     """Parameter combination is invalid (e.g. a gamma factor poles)."""
-
-
-class RangeError(HankelDualError, OverflowError):
-    """Result exceeds the representable floating-point range."""
 
 
 class AdmissibilityError(HankelDualError):

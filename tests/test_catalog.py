@@ -257,16 +257,24 @@ def _t15_modulator_mpmath(nu, u):
         return complex(w)
 
 
-@pytest.mark.parametrize("grid_index", [0, 1, 2])
-def test_t15_modulator_matches_scalar_mpmath(grid_index):
+# T15's three grid points, then orders that bring the K orders 2nu to the
+# ends of the constraint -1/2 <= nu < 5/2 and between: 2nu from -1 to 4.9
+_T15_POINTS = [
+    pytest.param(P, id=str(i)) for i, P in enumerate(entry_by_id("T15").default_grid)
+] + [
+    pytest.param(ParamPoint.of(nu=nu, z=1.0), id=f"nu={nu}") for nu in (-0.5, 0.25, 1.5, 2.45)
+]
+
+
+@pytest.mark.parametrize("P", _T15_POINTS)
+def test_t15_modulator_matches_scalar_mpmath(P):
     # The integrand is the real part of a complex product that can cancel
     # (e.g. nu=1 at small u), so the error is measured against the modulus
     # of that product, which is what limits any double-precision result.
-    entry = entry_by_id("T15")
-    P = entry.default_grid[grid_index]
-    us = np.geomspace(1e-4, 1e3, 10)
-    got = entry.pieces[0].integrand(P)(us)
+    us = np.geomspace(1e-8, 1e6, 15)
+    got = entry_by_id("T15").pieces[0].integrand(P)(us)
     assert got.shape == us.shape
     for u, g in zip(us, got):
         want = _t15_modulator_mpmath(P["nu"], u)
         assert abs(g - want.real) <= 1e-13 * abs(want), (P.label(), u)
+        assert abs(g - want.real) <= 1e-13 * abs(want), (nu, u)
