@@ -9,7 +9,8 @@ Seven criteria:
    seed is admissible;
 3. forward-then-inverse round trips reproduce five smooth seeds to 1e-6
    and recover the jump midpoint of a discontinuous seed to 1e-5;
-4. at least 200 special-function contract assertions hold;
+4. at least 200 special-function contract assertions hold, each on a
+   function that the verifier or the round trip runs;
 5. every quadrature error estimate is honest: |value - oracle| is
    within 5x the claimed bound on every pinned comparison;
 6. a corrupted closed form produces Fail rows, and parallel runs are

@@ -257,8 +257,8 @@ def _t15_modulator_mpmath(nu, u):
         return complex(w)
 
 
-# T15's three grid points, then orders that bring the K orders 2nu to the
-# ends of the constraint -1/2 <= nu < 5/2 and between: 2nu from -1 to 4.9
+# T15's three grid points and four more orders: the K order 2nu takes
+# -1, 0, 0.5, 1, 2, 3 and 4.9, across the constraint -1/2 <= nu < 5/2
 _T15_POINTS = [
     pytest.param(P, id=str(i)) for i, P in enumerate(entry_by_id("T15").default_grid)
 ] + [
@@ -277,4 +277,3 @@ def test_t15_modulator_matches_scalar_mpmath(P):
     for u, g in zip(us, got):
         want = _t15_modulator_mpmath(P["nu"], u)
         assert abs(g - want.real) <= 1e-13 * abs(want), (P.label(), u)
-        assert abs(g - want.real) <= 1e-13 * abs(want), (nu, u)
