@@ -1,8 +1,12 @@
 """Unit tests for the special-function layer."""
 
+import cmath
+import math
+
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from contracts import contract_checks
 from hankel_dual.errors import DomainError
@@ -16,6 +20,21 @@ from hankel_dual.specfun import bessel_zeros, cylinder, struve_minus_y
 )
 def test_contract(label, got, want, tol):
     assert abs(got - want) <= tol * (1.0 + abs(want)), label
+
+
+# The K orders 2nu of T15's default grid. T15's integrand keeps only the
+# real part of e^{i(nu+1)pi/2} K, which at nu = 0 and nu = 1 sees one
+# component of K alone; this checks the whole complex value SciPy returns.
+@pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("ray", [cmath.exp(1j * math.pi / 4.0)], ids=["arg+pi/4"])
+def test_complex_bessel_k_matches_mpmath_on_rays(order, ray):
+    # z = 2 e^{i pi/4} sqrt(u), the argument T15 evaluates, over u in [1e-8, 1e6]
+    for u in np.geomspace(1e-8, 1e6, 15):
+        z = 2.0 * ray * math.sqrt(u)
+        got = complex(sp.kv(order, z))
+        with mpmath.workdps(30):
+            want = complex(mpmath.besselk(order, mpmath.mpc(z.real, z.imag)))
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), (order, u)
 
 
 def test_struve_parameter_checks():
