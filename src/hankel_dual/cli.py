@@ -3,8 +3,8 @@
 Subcommands
 -----------
 
-* ``verify`` - evaluate catalog entries against their closed forms and
-  report Pass / Fail / Inconclusive rows (JSON, CSV, or text).
+* ``verify`` - evaluate catalog entries against their closed forms, row by
+  row, and report Pass / Fail / Inconclusive rows (JSON, CSV, or text).
 * ``check``  - run the integrability-condition check on the documented
   failure seeds (plus the admissible control seed).
 * ``list``   - show catalog contents; ``--json`` output can be fed back
@@ -32,22 +32,13 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
-_CONFIG_KEYS = {"entry", "group", "seed", "tol", "jobs", "format", "out", "seeds"}
+_CONFIG_KEYS = {"entry", "group", "seed", "tol", "format", "out", "seeds"}
 _FORMATS = ("text", "json", "csv")
 _SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class UsageError(Exception):
     pass
-
-
-def _default_jobs() -> int:
-    """Worker count from HANKEL_DUAL_JOBS (1 when unset or empty)."""
-    raw = os.environ.get("HANKEL_DUAL_JOBS", "")
-    try:
-        return _job_count(raw) if raw else 1
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"environment variable HANKEL_DUAL_JOBS: {exc}")
 
 
 def _tolerance(text: str) -> float:
@@ -61,17 +52,6 @@ def _tolerance(text: str) -> float:
             f"tolerance must be a finite number > 0, got {text!r}"
         )
     return tol
-
-
-def _job_count(text: str) -> int:
-    """Parse a worker-thread count: an integer >= 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be an integer >= 1, got {text!r}")
-    return jobs
 
 
 def _output_format(text: str) -> str:
@@ -192,9 +172,6 @@ def _cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else (
         _config_value(cfg, "tol", _tolerance) if cfg.get("tol") else None
     )
-    jobs = args.jobs if args.jobs is not None else (
-        _config_value(cfg, "jobs", _job_count) if cfg.get("jobs") else _default_jobs()
-    )
     fmt = args.format or (
         _config_value(cfg, "format", _output_format) if cfg.get("format") else "text"
     )
@@ -211,7 +188,7 @@ def _cmd_verify(args) -> int:
     else:
         failures = []
 
-    report = verify.run_all(entries, failures, jobs=jobs, tol=tol)
+    report = verify.run_all(entries, failures, tol=tol)
 
     if fmt == "json":
         _emit(report.to_json(), out)
@@ -235,7 +212,7 @@ def _cmd_verify(args) -> int:
         lines.append(
             f"summary: {counts['Pass']} Pass, {counts['Fail']} Fail, "
             f"{counts['Inconclusive']} Inconclusive "
-            f"({report.wall_seconds:.1f} s, jobs={jobs})"
+            f"({report.wall_seconds:.1f} s)"
         )
         _emit("\n".join(lines), out)
     return _exit_code(r.status for r in report.rows + report.failure_rows)
@@ -315,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--group", type=int, help="verify only this group")
     p_verify.add_argument("--tol", type=_tolerance,
                           help="override the per-class tolerance (finite, > 0)")
-    p_verify.add_argument("--jobs", type=_job_count,
-                          help="worker threads, >= 1 (default HANKEL_DUAL_JOBS or 1)")
     p_verify.add_argument("--format", choices=_FORMATS)
     p_verify.add_argument("--out", metavar="PATH", help="write output to a file")
     p_verify.add_argument("--config", metavar="PATH",

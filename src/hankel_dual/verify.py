@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -214,11 +212,13 @@ def run_all(
 ) -> Report:
     """Run entries (and failure seeds) and return a canonical report.
 
-    Rows run on ``jobs`` worker threads (one thread at ``jobs=1``) and
-    are ordered by catalog document order then grid index regardless of
-    the number of threads, so runs at any ``jobs`` produce identical
-    reports.
+    Rows run one after another, ordered by catalog document order then
+    grid index.  ``jobs`` accepts only 1: it is kept so that existing
+    ``run_all(jobs=1)`` callers still run, and any other value raises
+    ``ValueError``.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     if entries is None and failures is None:
         entries = catalog.all_entries()
         failures = catalog.all_failures()
@@ -228,12 +228,9 @@ def run_all(
     entries.sort(key=lambda e: order.get(e.id, len(order)))
 
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        entry_groups = pool.map(verify_entry, entries, itertools.repeat(tol))
-        failure_rows = tuple(pool.map(verify_failure, failures))
     return Report(
-        rows=tuple(r for group in entry_groups for r in group),
-        failure_rows=failure_rows,
+        rows=tuple(r for e in entries for r in verify_entry(e, tol)),
+        failure_rows=tuple(verify_failure(s) for s in failures),
         tolerance_override=tol,
         wall_seconds=time.perf_counter() - t0,
     )

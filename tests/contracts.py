@@ -219,6 +219,17 @@ def _legendre(out):
         out.append((f"Q_1({x})", q1[m], x * half_log - 1.0, 1e-9))
         out.append((f"P_0({x})", p0[m], 1.0, 1e-9))
         out.append((f"P_1({x})", p1[m], x, 1e-9))
+    # Casoratian P_v Q_{v-1} - P_{v-1} Q_v = 1/v at order 0, evaluated at
+    # T26/T27's arguments sqrt(1 + 4/c^2): every point is on Q's log branch
+    cs = np.geomspace(20.0, 1e5, 8)
+    xs = np.sqrt(1.0 + 4.0 / cs**2)
+    for nu in (0.5, 1.0, 1.5, 2.0):
+        casoratian = (
+            legendre_p0(nu, xs) * legendre_q0(nu - 1.0, xs)
+            - legendre_p0(nu - 1.0, xs) * legendre_q0(nu, xs)
+        )
+        for c, got in zip(cs.tolist(), casoratian):
+            out.append((f"Legendre Casoratian nu={nu} c={c:.4g}", got, 1.0 / nu, 1e-14))
 
 
 def _struve(out):

@@ -3,7 +3,7 @@
 Seven criteria:
 
 1. every catalog entry passes on its full default grid (>= 3 points) at
-   the class tolerance, within a five-minute wall budget at parallelism 4;
+   the class tolerance, within a five-minute wall budget, serially;
 2. every documented failure seed is judged inadmissible at the expected
    endpoint with zero Inconclusive verdicts, while the exp(-x) control
    seed is admissible;
@@ -13,12 +13,14 @@ Seven criteria:
    function that the verifier or the round trip runs;
 5. every quadrature error estimate is honest: |value - oracle| is
    within 5x the claimed bound on every pinned comparison;
-6. a corrupted closed form produces Fail rows, and parallel runs are
-   bit-identical to serial runs;
+6. a corrupted closed form produces Fail rows, and a run is bit-identical
+   whether it starts with no Bessel-zero tables or with every table an
+   earlier run grew;
 7. pinned spot checks on individual values.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -26,14 +28,14 @@ import pytest
 import scipy.special as sp
 
 from contracts import contract_checks
-from hankel_dual import catalog, verify
+from hankel_dual import catalog, specfun, verify
 from hankel_dual.catalog import ParamPoint, heron_area
 from hankel_dual.hankel import SeedFunction, check_condition, dual_roundtrip
 
 
 @pytest.fixture(scope="module")
 def full_report():
-    return verify.run_all(catalog.all_entries(), [], jobs=4)
+    return verify.run_all(catalog.all_entries(), [])
 
 
 # -- criterion 1: full catalog passes within budget --------------------------
@@ -142,13 +144,18 @@ def test_corrupted_rhs_detected():
     assert rows and all(r.status == verify.FAIL for r in rows)
 
 
-def test_parallel_report_identical_to_serial():
+def test_cold_report_identical_to_warm():
     entries = [catalog.entry_by_id(i) for i in ("T02a", "T03", "T04", "T21", "T23")]
     failures = catalog.all_failures()[:4]
-    serial = verify.run_all(entries, failures, jobs=1)
-    parallel = verify.run_all(entries, failures, jobs=4)
-    assert serial.rows == parallel.rows
-    assert serial.failure_rows == parallel.failure_rows
+    specfun._zero_cache.clear()
+    cold = verify.run_all(entries, failures)
+    warm = verify.run_all(entries, failures)
+    assert cold.rows == warm.rows
+    assert cold.failure_rows == warm.failure_rows
+    untimed = [json.loads(r.to_json()) for r in (cold, warm)]
+    for doc in untimed:
+        del doc["wall_seconds"]
+    assert untimed[0] == untimed[1]
 
 
 # -- criterion 7: pinned spot values ------------------------------------------

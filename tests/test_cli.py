@@ -1,6 +1,6 @@
 """CLI tests: exit codes and output formats through ``cli.main`` in-process,
 and real subprocesses where the process itself is the subject (``python -m``,
-the ``HANKEL_DUAL_JOBS`` environment, the modules a fresh import loads)."""
+the modules a fresh import loads)."""
 
 import dataclasses
 import io
@@ -20,8 +20,8 @@ ENV = dict(os.environ)
 ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, ENV.get("PYTHONPATH")]))
 
 
-def run_module(*args, env=ENV):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=300, env=env)
+def run_module(*args):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=300, env=ENV)
 
 
 @pytest.fixture
@@ -86,7 +86,7 @@ def test_verify_unknown_entry_is_usage_error(run_cli):
 
 
 def test_verify_bad_flag_value_is_usage_error(run_cli):
-    assert run_cli("verify", "--jobs", "many").returncode == cli.EXIT_USAGE
+    assert run_cli("verify", "--group", "x").returncode == cli.EXIT_USAGE
 
 
 def test_verify_unachievable_tolerance_exits_inconclusive(run_cli):
@@ -123,10 +123,13 @@ def test_flat_config(tmp_path, run_cli):
 
 def test_flat_config_bad_key(tmp_path, run_cli):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("entries=T03\n")
-    proc = run_cli("verify", "--config", str(cfg))
-    assert proc.returncode == cli.EXIT_USAGE
-    assert "unknown config key" in proc.stderr
+    # rows always run serially, so `jobs` is not a key
+    for line in ("entries=T03", "jobs=2"):
+        cfg.write_text(line + "\n")
+        proc = run_cli("verify", "--config", str(cfg))
+        assert proc.returncode == cli.EXIT_USAGE
+        assert "unknown config key" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def _record_run_all(monkeypatch):
@@ -134,7 +137,7 @@ def _record_run_all(monkeypatch):
     failure seeds it was given."""
     calls = []
 
-    def run_all(entries, failures, jobs=1, tol=None):
+    def run_all(entries, failures, tol=None):
         calls.append(failures)
         return verify.Report((), (), tol, 0.0)
 
@@ -171,7 +174,7 @@ def test_flat_config_seeds_switch(tmp_path, monkeypatch, capsys, value, with_see
 @pytest.mark.parametrize(
     "flag,value",
     [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
-     ("--jobs", "0")],
+     ("--jobs", "2")],
 )
 def test_verify_meaningless_tol_or_jobs_is_usage_error(flag, value):
     assert cli.main(["verify", "--entry", "T01", flag, value]) == cli.EXIT_USAGE
@@ -268,24 +271,6 @@ def test_fail_exit_code_with_corrupted_fixture(monkeypatch, capsys):
     assert "Fail" in out
 
 
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.delenv("HANKEL_DUAL_JOBS", raising=False)
-    assert cli._default_jobs() == 1
-    monkeypatch.setenv("HANKEL_DUAL_JOBS", "3")
-    assert cli._default_jobs() == 3
-    for bad in ("junk", "0", "-3"):
-        monkeypatch.setenv("HANKEL_DUAL_JOBS", bad)
-        with pytest.raises(cli.UsageError):
-            cli._default_jobs()
-
-
-def test_bad_jobs_env_is_usage_error():
-    proc = run_module("verify", "--entry", "T01", env={**ENV, "HANKEL_DUAL_JOBS": "abc"})
-    assert proc.returncode == cli.EXIT_USAGE
-    assert "HANKEL_DUAL_JOBS" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
@@ -301,17 +286,21 @@ def test_closed_stdout_keeps_exit_code(monkeypatch, capsys):
 
 def test_import_skips_optimize_and_mpmath():
     # mpmath is a test oracle only: with it made unimportable, `verify` on
-    # the whole catalog and corpus and `check` still run and pass
+    # the whole catalog and corpus and `check` still run and pass; rows run
+    # serially, so neither the import nor `verify` starts a thread pool
     code = (
         "import contextlib, io, sys, hankel_dual.cli as cli\n"
-        "print([m for m in ('scipy.optimize', 'mpmath') if m in sys.modules])\n"
+        "pool = 'concurrent.futures.thread'\n"
+        "print([m for m in ('scipy.optimize', 'mpmath', pool) if m in sys.modules])\n"
         "sys.modules['mpmath'] = None\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['verify']), cli.main(['check'])]\n"
+        "    codes = [cli.main(['verify'])]\n"
+        "    codes.append(pool in sys.modules)\n"
+        "    codes.append(cli.main(['check']))\n"
         "print(codes)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=ENV
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[0, 0]"]
+    assert proc.stdout.splitlines() == ["[]", "[0, False, 0]"]

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from hankel_dual import catalog, verify
+from hankel_dual import catalog, specfun, verify
 from hankel_dual.hankel import SeedFunction
 
 
@@ -53,17 +53,25 @@ def test_verify_failure_rows():
     assert row.failing_endpoint == row.expected_endpoint == "Infinity"
 
 
-def test_parallel_matches_serial():
-    # the whole catalog and failure corpus: the threads share quad and the
-    # Bessel-zero tables, and no row may depend on which thread ran it
-    serial = verify.run_all(jobs=1)
-    parallel = verify.run_all(jobs=4)
-    assert serial.rows == parallel.rows
-    assert serial.failure_rows == parallel.failure_rows
-    untimed = [json.loads(r.to_json()) for r in (serial, parallel)]
+def test_cold_run_matches_warm_run():
+    # the whole catalog and failure corpus, first with no Bessel-zero table
+    # and then with every table the first run grew: no row may depend on
+    # the tables that earlier rows left behind
+    specfun._zero_cache.clear()
+    cold = verify.run_all()
+    warm = verify.run_all()
+    assert cold.rows == warm.rows
+    assert cold.failure_rows == warm.failure_rows
+    untimed = [json.loads(r.to_json()) for r in (cold, warm)]
     for doc in untimed:
         del doc["wall_seconds"]
     assert untimed[0] == untimed[1]
+
+
+def test_run_all_accepts_only_one_job():
+    assert verify.run_all([], [], jobs=1).rows == ()
+    with pytest.raises(ValueError):
+        verify.run_all([], [], jobs=2)
 
 
 def test_catalog_evaluation_ratchet():
@@ -71,14 +79,14 @@ def test_catalog_evaluation_ratchet():
     # panels and 12-point lobes between kernel zeros, three lobes a step,
     # counting the lobes integrated past a row's exit; it may not climb back
     # past 0.7x the 69,922 the earlier 37-node panels and 25-point lobes spent
-    report = verify.run_all(jobs=1)
+    report = verify.run_all()
     assert all(r.status == verify.PASS for r in report.rows)
     assert sum(r.evaluations for r in report.rows) <= 48_945
 
 
 def test_rows_in_catalog_document_order():
     entries = [catalog.entry_by_id(i) for i in ("T21", "T02a", "T04")]
-    report = verify.run_all(entries, [], jobs=2)
+    report = verify.run_all(entries, [])
     seen = [r.entry_id for r in report.rows]
     assert seen == sorted(seen, key=lambda i: (int(i[1:3]), i[3:]))
 
