@@ -6,6 +6,9 @@ and a default parameter grid; plus sixteen documented seed functions for
 which the transform-pair method fails because the integrability
 condition cannot be satisfied.
 
+Most left-hand sides are one half-line tail int_0^inf g(u) J_nu(u z) du,
+built by ``_hankel(order, g)``; the others spell out their pieces.
+
 Provenance strings cite the classical tables (Gradshteyn & Ryzhik,
 "GR x.y.z") or named formulas from which each left-hand side derives.
 """
@@ -13,6 +16,7 @@ Provenance strings cite the classical tables (Gradshteyn & Ryzhik,
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -75,12 +79,6 @@ class ParamPoint:
                 return v
         raise KeyError(key)
 
-    def get(self, key: str, default=None):
-        for k, v in self.values:
-            if k == key:
-                return v
-        return default
-
     def as_dict(self) -> dict:
         return dict(self.values)
 
@@ -98,15 +96,17 @@ class Constraint:
 class Piece:
     """One quadrature job; an entry's LHS is the sum of its pieces.
 
-    ``integrand`` builds the smooth factor when ``osc`` is given (the
-    Bessel kernel is supplied by the oscillation spec), or the full
-    integrand for finite / non-oscillatory intervals.  A second Bessel
-    factor, such as one of sqrt(t), belongs to the smooth factor: the
-    lobes end at kernel zeros only, and every tail takes the oscillatory
-    rule's default head and lobe limit.
+    ``integrand(P, u)`` evaluates, at the grid point P and the nodes u (a
+    float array), the smooth factor when ``osc`` is given (the Bessel
+    kernel is supplied by the oscillation spec), or the full integrand
+    for finite / non-oscillatory intervals.  A second Bessel factor, such
+    as one of sqrt(t), belongs to the smooth factor: the lobes end at
+    kernel zeros only, and every tail takes the oscillatory rule's
+    default head and lobe limit.  ``_hankel(order, g)`` is the piece of
+    int_0^inf g(P, u) J_order(u z) du, a half-line tail at frequency z.
     """
 
-    integrand: Callable[[ParamPoint], Callable[[np.ndarray], np.ndarray]]
+    integrand: Callable[[ParamPoint, np.ndarray], np.ndarray]
     interval: Callable[[ParamPoint], Interval]
     osc: Optional[Callable[[ParamPoint], OscillationSpec]] = None
 
@@ -142,7 +142,7 @@ class IntegralEntry:
         converged = True
         for piece in self.pieces:
             res = quad.integrate_entry(
-                piece.integrand(params),
+                functools.partial(piece.integrand, params),
                 piece.interval(params),
                 piece.osc(params) if piece.osc is not None else None,
                 per_piece,
@@ -225,7 +225,7 @@ def control_seed() -> SeedFunction:
 
 
 # ----------------------------------------------------------------------
-# constraint shorthands
+# constraint and piece shorthands
 
 
 def _pos(*names):
@@ -251,6 +251,15 @@ def _nat(name):
         f"{name} is a non-negative integer",
         lambda P: P[name] >= 0 and float(P[name]).is_integer(),
     )
+
+
+def _hankel(order, g) -> tuple:
+    """The pieces of int_0^inf g(P, u) J_order(u z) du: one half-line
+    tail at frequency z, whose kernel order is the parameter named
+    ``order``, or ``order`` itself when it is a number."""
+    nu = (lambda P: P[order]) if isinstance(order, str) else (lambda P: order)
+    osc = lambda P: OscillationSpec(nu(P), P["z"])
+    return (Piece(g, lambda P: Interval.full_half_line(), osc),)
 
 
 # ----------------------------------------------------------------------
@@ -284,10 +293,10 @@ def _build_entries() -> list:
         provenance="Sonine's triple-product formula",
         tol_class="Decaying",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: (
+            integrand=lambda P, u: (
                 heron_area(u, P["b"], P["c"]) ** (2.0 * P["nu"] - 1.0)
                 * u ** (1.0 - P["nu"]) * _sp.jv(P["nu"], u * P["t"])
-            )),
+            ),
             interval=lambda P: Interval.segment(
                 abs(P["b"] - P["c"]), P["b"] + P["c"], ALGEBRAIC_AT_UPPER
             ),
@@ -308,7 +317,7 @@ def _build_entries() -> list:
         provenance="GR 6.512.3",
         tol_class="Decaying",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: u ** P["nu"] * _sp.jv(P["nu"] - 1.0, u * P["z"])),
+            integrand=lambda P, u: u ** P["nu"] * _sp.jv(P["nu"] - 1.0, u * P["z"]),
             interval=lambda P: Interval.finite_from_zero(P["alpha"]),
         ),),
     ))
@@ -331,7 +340,7 @@ def _build_entries() -> list:
         provenance="GR 6.512.3",
         tol_class="Oscillatory",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: u ** (1.0 - P["mu"])),
+            integrand=lambda P, u: u ** (1.0 - P["mu"]),
             interval=lambda P: Interval.tail(P["beta"]),
             osc=lambda P: OscillationSpec(P["mu"], P["z"]),
         ),),
@@ -350,11 +359,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.521.2",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: u ** (P["nu"] + 1.0) / (1.0 + u * u)),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", lambda P, u: u ** (P["nu"] + 1.0) / (1.0 + u * u)),
     ))
 
     E.append(IntegralEntry(
@@ -370,11 +375,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.521.12",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: u / (1.0 + u * u) ** 2),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(0.0, P["z"]),
-        ),),
+        pieces=_hankel(0.0, lambda P, u: u / (1.0 + u * u) ** 2),
     ))
 
     E.append(IntegralEntry(
@@ -390,15 +391,15 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.521.12",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: u * u / (1.0 + u * u) ** 2),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(1.0, P["z"]),
-        ),),
+        pieces=_hankel(1.0, lambda P, u: u * u / (1.0 + u * u) ** 2),
     ))
 
     def _l_ratio(nu, l1, l2):
         return (l1 / l2) ** nu / (l2 * l2 - l1 * l1)
+
+    def _l_gap(a, b, c):
+        l1, l2 = l1_l2(a, b, c)
+        return l2 * l2 - l1 * l1
 
     E.append(IntegralEntry(
         id="T06a",
@@ -418,11 +419,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.12",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: u * _l_ratio(P["nu"], *l1_l2(P["alpha"], u, P["gamma"]))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", lambda P, u: u * _l_ratio(P["nu"], *l1_l2(P["alpha"], u, P["gamma"]))),
     ))
 
     E.append(IntegralEntry(
@@ -441,11 +438,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.12",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: u * _l_ratio(P["nu"], *l1_l2(P["alpha"], P["beta"], u))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", lambda P, u: u * _l_ratio(P["nu"], *l1_l2(P["alpha"], P["beta"], u))),
     ))
 
     E.append(IntegralEntry(
@@ -466,11 +459,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.4",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: u / np.sqrt(_quartic(P["a"], P["b"], u))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(0.0, P["z"]),
-        ),),
+        pieces=_hankel(0.0, lambda P, u: u / np.sqrt(_quartic(P["a"], P["b"], u))),
     ))
 
     E.append(IntegralEntry(
@@ -491,13 +480,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.4",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                lambda l: u / (l[1] * l[1] - l[0] * l[0])
-            )(l1_l2(u, P["b"], P["c"]))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(0.0, P["z"]),
-        ),),
+        pieces=_hankel(0.0, lambda P, u: u / _l_gap(u, P["b"], P["c"])),
     ))
 
     def _t08_rhs(P, second):
@@ -526,14 +509,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.15",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                lambda l: u ** (P["nu"] + 1.0)
-                / (l[1] * l[1] - l[0] * l[0]) ** (2.0 * P["nu"] + 1.0)
-            )(l1_l2(P["alpha"], u, P["gamma"]))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", lambda P, u: (
+            u ** (P["nu"] + 1.0) / _l_gap(P["alpha"], u, P["gamma"]) ** (2.0 * P["nu"] + 1.0)
+        )),
     ))
 
     E.append(IntegralEntry(
@@ -553,14 +531,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.15",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                lambda l: u ** (P["nu"] + 1.0)
-                / (l[1] * l[1] - l[0] * l[0]) ** (2.0 * P["nu"] + 1.0)
-            )(l1_l2(P["alpha"], P["beta"], u))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", lambda P, u: (
+            u ** (P["nu"] + 1.0) / _l_gap(P["alpha"], P["beta"], u) ** (2.0 * P["nu"] + 1.0)
+        )),
     ))
 
     E.append(IntegralEntry(
@@ -584,15 +557,11 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.525.1",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                2.0 * u * u * (u * u + P["beta"] ** 2 - P["gamma"] ** 2)
-                * ((u * u + P["beta"] ** 2 + P["gamma"] ** 2) ** 2
-                   - 4.0 * u * u * P["gamma"] ** 2) ** -1.5
-            )),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(1.0, P["z"]),
-        ),),
+        pieces=_hankel(1.0, lambda P, u: (
+            2.0 * u * u * (u * u + P["beta"] ** 2 - P["gamma"] ** 2)
+            * ((u * u + P["beta"] ** 2 + P["gamma"] ** 2) ** 2
+               - 4.0 * u * u * P["gamma"] ** 2) ** -1.5
+        )),
     ))
 
     E.append(IntegralEntry(
@@ -617,15 +586,11 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.525.1",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                u * (P["alpha"] ** 2 + P["beta"] ** 2 - u * u)
-                * ((P["alpha"] ** 2 + P["beta"] ** 2 + u * u) ** 2
-                   - 4.0 * P["alpha"] ** 2 * u * u) ** -1.5
-            )),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(0.0, P["z"]),
-        ),),
+        pieces=_hankel(0.0, lambda P, u: (
+            u * (P["alpha"] ** 2 + P["beta"] ** 2 - u * u)
+            * ((P["alpha"] ** 2 + P["beta"] ** 2 + u * u) ** 2
+               - 4.0 * P["alpha"] ** 2 * u * u) ** -1.5
+        )),
     ))
 
     E.append(IntegralEntry(
@@ -648,14 +613,10 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.525.1",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                lambda l: 2.0 * u * u * (P["p"] ** 2 + u * u - P["gamma"] ** 2)
-                / (l[1] * l[1] - l[0] * l[0]) ** 3
-            )(l1_l2(P["p"], u, P["gamma"]))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(1.0, P["z"]),
-        ),),
+        pieces=_hankel(1.0, lambda P, u: (
+            2.0 * u * u * (P["p"] ** 2 + u * u - P["gamma"] ** 2)
+            / _l_gap(P["p"], u, P["gamma"]) ** 3
+        )),
     ))
 
     E.append(IntegralEntry(
@@ -679,14 +640,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.525.1",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                lambda l: u * (P["p"] ** 2 + P["q"] ** 2 - u * u)
-                / (l[1] * l[1] - l[0] * l[0]) ** 3
-            )(l1_l2(P["p"], P["q"], u))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(0.0, P["z"]),
-        ),),
+        pieces=_hankel(0.0, lambda P, u: (
+            u * (P["p"] ** 2 + P["q"] ** 2 - u * u) / _l_gap(P["p"], P["q"], u) ** 3
+        )),
     ))
 
     E.append(IntegralEntry(
@@ -707,11 +663,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.9",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: 1.0 / np.sqrt(u * u + 4.0 * P["a"] ** 2)),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", lambda P, u: 1.0 / np.sqrt(u * u + 4.0 * P["a"] ** 2)),
     ))
 
     E.append(IntegralEntry(
@@ -734,11 +686,15 @@ def _build_entries() -> list:
         provenance="GR 6.522.10",
         tol_class="Singular",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: 1.0 / np.sqrt(u * u - 4.0 * P["a"] ** 2)),
+            integrand=lambda P, u: 1.0 / np.sqrt(u * u - 4.0 * P["a"] ** 2),
             interval=lambda P: Interval.tail(2.0 * P["a"], ALGEBRAIC_AT_LOWER),
             osc=lambda P: OscillationSpec(P["nu"], P["z"]),
         ),),
     ))
+
+    def _t12_g(P, u):
+        r = np.sqrt(u * u + 4.0 * P["a"] ** 2)
+        return (u + r) ** P["mu"] / r
 
     E.append(IntegralEntry(
         id="T12",
@@ -764,13 +720,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.12",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                lambda r: (u + r) ** P["mu"] / r
-            )(np.sqrt(u * u + 4.0 * P["a"] ** 2))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", _t12_g),
     ))
 
     E.append(IntegralEntry(
@@ -794,14 +744,10 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.525.2",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                u * (P["b"] ** 2 + u * u - P["a"] ** 2)
-                * _quartic(P["a"], P["b"], u) ** -1.5
-            )),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(0.0, P["z"]),
-        ),),
+        pieces=_hankel(0.0, lambda P, u: (
+            u * (P["b"] ** 2 + u * u - P["a"] ** 2)
+            * _quartic(P["a"], P["b"], u) ** -1.5
+        )),
     ))
 
     # ---- group 3: Bessel and Struve factors ----
@@ -819,23 +765,15 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.514.1",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: _sp.jv(2.0 * P["nu"], 2.0 * np.sqrt(u))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", lambda P, u: _sp.jv(2.0 * P["nu"], 2.0 * np.sqrt(u))),
     ))
 
-    def _t15_modulator(P):
+    def _t15_modulator(P, u):
         nu = P["nu"]
         phase = cmath.exp(1j * (nu + 1.0) * math.pi / 2.0)
         root = cmath.exp(1j * math.pi / 4.0)
-
-        def f(u):
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            return 2.0 * (phase * _sp.kv(2.0 * nu, 2.0 * root * np.sqrt(u))).real * u
-
-        return f
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        return 2.0 * (phase * _sp.kv(2.0 * nu, 2.0 * root * np.sqrt(u))).real * u
 
     E.append(IntegralEntry(
         id="T15",
@@ -853,11 +791,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.514.3",
         tol_class="Decaying",
-        pieces=(Piece(
-            integrand=_t15_modulator,
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", _t15_modulator),
     ))
 
     E.append(IntegralEntry(
@@ -879,10 +813,10 @@ def _build_entries() -> list:
         provenance="GR 6.514.4",
         tol_class="Oscillatory",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: (
+            integrand=lambda P, u: (
                 _sp.kv(2.0 * P["nu"], 2.0 * np.sqrt(u))
                 - 0.5 * math.pi * _sp.yv(2.0 * P["nu"], 2.0 * np.sqrt(u))
-            )),
+            ),
             interval=lambda P: Interval.tail(0.0, ALGEBRAIC_AT_LOWER),
             osc=lambda P: OscillationSpec(P["nu"], P["z"]),
         ),),
@@ -909,7 +843,7 @@ def _build_entries() -> list:
         provenance="GR 6.516.1",
         tol_class="Oscillatory",
         pieces=(Piece(
-            integrand=lambda P: (lambda t: 2.0 * _sp.jv(2.0 * P["nu"], 2.0 * P["z"] * np.sqrt(t))),
+            integrand=lambda P, t: 2.0 * _sp.jv(2.0 * P["nu"], 2.0 * P["z"] * np.sqrt(t)),
             interval=lambda P: Interval.full_half_line(),
             osc=lambda P: OscillationSpec(P["nu"], 1.0),
         ),),
@@ -933,12 +867,12 @@ def _build_entries() -> list:
         tol_class="Oscillatory",
         pieces=(
             Piece(
-                integrand=lambda P: (lambda u: _sp.jv(P["mu"], 0.25 / u)),
+                integrand=lambda P, u: _sp.jv(P["mu"], 0.25 / u),
                 interval=lambda P: Interval.tail(0.5),
                 osc=lambda P: OscillationSpec(P["mu"], P["z"]),
             ),
             Piece(
-                integrand=lambda P: (lambda u: _sp.jv(P["mu"], 0.25 * P["z"] / u) / (4.0 * u * u)),
+                integrand=lambda P, u: _sp.jv(P["mu"], 0.25 * P["z"] / u) / (4.0 * u * u),
                 interval=lambda P: Interval.tail(0.5),
                 osc=lambda P: OscillationSpec(P["mu"], 1.0),
             ),
@@ -962,7 +896,7 @@ def _build_entries() -> list:
         provenance="GR 6.526.1",
         tol_class="Oscillatory",
         pieces=(Piece(
-            integrand=lambda P: (lambda t: 2.0 * _sp.jv(P["mu"], 2.0 * P["z"] * np.sqrt(t))),
+            integrand=lambda P, t: 2.0 * _sp.jv(P["mu"], 2.0 * P["z"] * np.sqrt(t)),
             interval=lambda P: Interval.full_half_line(),
             osc=lambda P: OscillationSpec(P["mu"] / 2.0, 1.0),
         ),),
@@ -985,8 +919,8 @@ def _build_entries() -> list:
         provenance="GR 6.527.1",
         tol_class="Oscillatory",
         pieces=(Piece(
-            integrand=lambda P: (
-                lambda t: 0.5 * np.sqrt(t) * _sp.jv(2.0 * P["nu"], P["z"] * np.sqrt(t))
+            integrand=lambda P, t: (
+                0.5 * np.sqrt(t) * _sp.jv(2.0 * P["nu"], P["z"] * np.sqrt(t))
             ),
             interval=lambda P: Interval.full_half_line(),
             osc=lambda P: OscillationSpec(P["nu"] + 0.5, 1.0),
@@ -1010,8 +944,8 @@ def _build_entries() -> list:
         provenance="GR 6.527.1",
         tol_class="Oscillatory",
         pieces=(Piece(
-            integrand=lambda P: (
-                lambda t: 0.5 * np.sqrt(t) * _sp.jv(2.0 * P["nu"], P["z"] * np.sqrt(t))
+            integrand=lambda P, t: (
+                0.5 * np.sqrt(t) * _sp.jv(2.0 * P["nu"], P["z"] * np.sqrt(t))
             ),
             interval=lambda P: Interval.full_half_line(),
             osc=lambda P: OscillationSpec(P["nu"] - 0.5, 1.0),
@@ -1039,20 +973,20 @@ def _build_entries() -> list:
         tol_class="Oscillatory",
         pieces=(
             Piece(
-                integrand=lambda P: (lambda u: (
+                integrand=lambda P, u: (
                     u * _sp.jv(P["nu"], u * P["z"]) * _sp.struve(P["nu"] / 2.0, u * u / 4.0)
-                )),
+                ),
                 interval=lambda P: Interval.finite_from_zero(12.0),
             ),
             Piece(
-                integrand=lambda P: (lambda t: 2.0 * _sp.jv(P["nu"], 2.0 * P["z"] * np.sqrt(t))),
+                integrand=lambda P, t: 2.0 * _sp.jv(P["nu"], 2.0 * P["z"] * np.sqrt(t)),
                 interval=lambda P: Interval.tail(36.0),
                 osc=lambda P: OscillationSpec(P["nu"] / 2.0, 1.0, "y"),
             ),
             Piece(
-                integrand=lambda P: (lambda u: (
+                integrand=lambda P, u: (
                     u * struve_minus_y(P["nu"] / 2.0, u * u / 4.0)
-                )),
+                ),
                 interval=lambda P: Interval.tail(12.0),
                 osc=lambda P: OscillationSpec(P["nu"], P["z"]),
             ),
@@ -1079,11 +1013,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.526.4",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: np.exp(-2.0 / u) / u),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", lambda P, u: np.exp(-2.0 / u) / u),
     ))
 
     E.append(IntegralEntry(
@@ -1106,20 +1036,20 @@ def _build_entries() -> list:
         tol_class="Singular",
         pieces=(
             Piece(
-                integrand=lambda P: (lambda u: (
+                integrand=lambda P, u: (
                     _sp.jv(1.0, u * P["z"]) * np.log1p(-((u / P["a"]) ** 2))
-                )),
+                ),
                 interval=lambda P: Interval.finite_from_zero(P["a"], ALGEBRAIC_AT_UPPER),
             ),
             Piece(
-                integrand=lambda P: (lambda v: (
+                integrand=lambda P, v: (
                     _sp.jv(1.0, (2.0 * P["a"] - v) * P["z"])
                     * np.log(((2.0 * P["a"] - v) / P["a"]) ** 2 - 1.0)
-                )),
+                ),
                 interval=lambda P: Interval.finite_from_zero(P["a"], ALGEBRAIC_AT_UPPER),
             ),
             Piece(
-                integrand=lambda P: (lambda u: np.log((u / P["a"]) ** 2 - 1.0)),
+                integrand=lambda P, u: np.log((u / P["a"]) ** 2 - 1.0),
                 interval=lambda P: Interval.tail(2.0 * P["a"]),
                 osc=lambda P: OscillationSpec(1.0, P["z"]),
             ),
@@ -1139,11 +1069,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.512.9",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: np.log1p(u * u)),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(1.0, P["z"]),
-        ),),
+        pieces=_hankel(1.0, lambda P, u: np.log1p(u * u)),
     ))
 
     E.append(IntegralEntry(
@@ -1166,9 +1092,9 @@ def _build_entries() -> list:
         provenance="GR 6.513.9",
         tol_class="Singular",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: (
+            integrand=lambda P, u: (
                 np.arcsin(np.clip(u / (2.0 * P["a"]), -1.0, 1.0)) * _sp.jv(1.0, u * P["z"])
-            )),
+            ),
             interval=lambda P: Interval.finite_from_zero(2.0 * P["a"], ALGEBRAIC_AT_UPPER),
         ),),
     ))
@@ -1200,13 +1126,13 @@ def _build_entries() -> list:
         provenance="GR 6.512.2",
         tol_class="Decaying",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: (
+            integrand=lambda P, u: (
                 _sp.jv(P["nu"] - P["n"] - 1.0, u * P["t"])
                 * hyp2f1_terminating(
                     P["nu"], int(P["n"]), P["nu"] - P["n"], (u / P["alpha"]) ** 2
                 )
                 * u ** (P["nu"] - P["n"])
-            )),
+            ),
             interval=lambda P: Interval.finite_from_zero(P["alpha"]),
         ),),
     ))
@@ -1235,12 +1161,12 @@ def _build_entries() -> list:
         provenance="GR 6.512.2",
         tol_class="Oscillatory",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: (
+            integrand=lambda P, u: (
                 hyp2f1_terminating(
                     P["mu"], int(P["n"]), P["mu"] - P["n"], (P["beta"] / u) ** 2
                 )
                 * u ** (P["n"] - P["mu"] + 1.0)
-            )),
+            ),
             interval=lambda P: Interval.tail(P["beta"]),
             osc=lambda P: OscillationSpec(P["mu"] + P["n"], P["t"]),
         ),),
@@ -1248,6 +1174,10 @@ def _build_entries() -> list:
 
     def _legendre_w(u):
         return np.sqrt(1.0 + 4.0 / (u * u))
+
+    def _t26_g(P, u):
+        w = _legendre_w(u)
+        return legendre_p0(P["nu"] / 2.0 - 0.5, w) * legendre_q0(P["nu"] / 2.0 - 0.5, w)
 
     E.append(IntegralEntry(
         id="T26",
@@ -1265,14 +1195,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.513.3",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                lambda w: legendre_p0(P["nu"] / 2.0 - 0.5, w)
-                * legendre_q0(P["nu"] / 2.0 - 0.5, w)
-            )(_legendre_w(u))),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", _t26_g),
     ))
 
     E.append(IntegralEntry(
@@ -1291,13 +1214,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.513.5",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P: (lambda u: (
-                legendre_q0(P["nu"] / 2.0 - 0.5, _legendre_w(u)) ** 2
-            )),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=_hankel("nu", lambda P, u: (
+            legendre_q0(P["nu"] / 2.0 - 0.5, _legendre_w(u)) ** 2
+        )),
     ))
 
     # ---- group 6: Jacobi and Chebyshev polynomial factors ----
@@ -1322,10 +1241,10 @@ def _build_entries() -> list:
         provenance="GR 6.512.4",
         tol_class="Oscillatory",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: (
+            integrand=lambda P, u: (
                 _sp.eval_jacobi(int(P["n"]), P["nu"], 0.0, 1.0 - 2.0 * (P["beta"] / u) ** 2)
                 * u ** (-P["nu"])
-            )),
+            ),
             interval=lambda P: Interval.tail(P["beta"]),
             osc=lambda P: OscillationSpec(P["nu"] + 2.0 * P["n"] + 1.0, P["z"]),
         ),),
@@ -1354,10 +1273,10 @@ def _build_entries() -> list:
         provenance="GR 6.512.4",
         tol_class="Decaying",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: (
+            integrand=lambda P, u: (
                 _sp.eval_jacobi(int(P["n"]), P["nu"], 0.0, 1.0 - 2.0 * (u / P["alpha"]) ** 2)
                 * _sp.jv(P["nu"], u * P["z"]) * u ** (P["nu"] + 1.0)
-            )),
+            ),
             interval=lambda P: Interval.finite_from_zero(P["alpha"]),
         ),),
     ))
@@ -1386,11 +1305,11 @@ def _build_entries() -> list:
         provenance="GR 6.522.11",
         tol_class="Singular",
         pieces=(Piece(
-            integrand=lambda P: (lambda u: (
+            integrand=lambda P, u: (
                 _sp.jv(P["nu"], u * P["z"])
                 / np.sqrt(np.maximum(4.0 * P["a"] ** 2 - u * u, 1e-300))
                 * _sp.eval_chebyt(int(P["n"]), np.clip(u / (2.0 * P["a"]), -1.0, 1.0))
-            )),
+            ),
             interval=lambda P: Interval.finite_from_zero(2.0 * P["a"], ALGEBRAIC_AT_UPPER),
         ),),
     ))

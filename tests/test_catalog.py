@@ -77,13 +77,26 @@ def test_lookup_by_id():
 def test_param_point():
     p = ParamPoint.of(nu=0.5, z=2)
     assert p["nu"] == 0.5
-    assert p.get("a") is None
     assert p.as_dict() == {"nu": 0.5, "z": 2.0}
     assert "nu=0.5" in p.label()
     with pytest.raises(ParameterError):
         ParamPoint.of(bogus=1.0)
     with pytest.raises(KeyError):
         p["a"]
+
+
+def test_every_integrand_returns_floats_of_its_nodes_shape():
+    # quad hands each piece's integrand(P, u) a float array of nodes and
+    # takes back one value per node, at every default grid point
+    for e in all_entries():
+        for P in e.default_grid:
+            for k, piece in enumerate(e.pieces):
+                iv = piece.interval(P)
+                span = iv.upper - iv.lower if iv.is_finite else 10.0
+                u = iv.lower + span * np.linspace(0.05, 0.95, 7)
+                got = piece.integrand(P, u)
+                assert isinstance(got, np.ndarray), (e.id, k, P.label())
+                assert got.dtype == np.float64 and got.shape == u.shape, (e.id, k, P.label())
 
 
 def test_constraint_violation_raises_before_quadrature():
@@ -272,7 +285,7 @@ def test_t15_modulator_matches_scalar_mpmath(P):
     # (e.g. nu=1 at small u), so the error is measured against the modulus
     # of that product, which is what limits any double-precision result.
     us = np.geomspace(1e-8, 1e6, 15)
-    got = entry_by_id("T15").pieces[0].integrand(P)(us)
+    got = entry_by_id("T15").pieces[0].integrand(P, us)
     assert got.shape == us.shape
     for u, g in zip(us, got):
         want = _t15_modulator_mpmath(P["nu"], u)
