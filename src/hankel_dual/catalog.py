@@ -6,8 +6,8 @@ and a default parameter grid; plus sixteen documented seed functions for
 which the transform-pair method fails because the integrability
 condition cannot be satisfied.
 
-Most left-hand sides are one half-line tail int_0^inf g(u) J_nu(u z) du,
-built by ``_hankel(order, g)``; the others spell out their pieces.
+Every oscillatory piece is a tail int_lower^inf g(u) C_nu(w u) du of a
+Bessel kernel C, built by ``_tail``; finite pieces spell out theirs.
 
 Provenance strings cite the classical tables (Gradshteyn & Ryzhik,
 "GR x.y.z") or named formulas from which each left-hand side derives.
@@ -102,8 +102,8 @@ class Piece:
     for finite / non-oscillatory intervals.  A second Bessel factor, such
     as one of sqrt(t), belongs to the smooth factor: the lobes end at
     kernel zeros only, and every tail takes the oscillatory rule's
-    default head and lobe limit.  ``_hankel(order, g)`` is the piece of
-    int_0^inf g(P, u) J_order(u z) du, a half-line tail at frequency z.
+    default head and lobe limit.  ``_tail(order, g, ...)`` builds every
+    piece that has an oscillation spec, all 36 of the catalog's tails.
     """
 
     integrand: Callable[[ParamPoint, np.ndarray], np.ndarray]
@@ -253,13 +253,26 @@ def _nat(name):
     )
 
 
-def _hankel(order, g) -> tuple:
-    """The pieces of int_0^inf g(P, u) J_order(u z) du: one half-line
-    tail at frequency z, whose kernel order is the parameter named
-    ``order``, or ``order`` itself when it is a number."""
-    nu = (lambda P: P[order]) if isinstance(order, str) else (lambda P: order)
-    osc = lambda P: OscillationSpec(nu(P), P["z"])
-    return (Piece(g, lambda P: Interval.full_half_line(), osc),)
+def _at(value) -> Callable[[ParamPoint], float]:
+    """``value`` as a function of the grid point P: P[value], value, or a constant."""
+    if isinstance(value, str):
+        return lambda P: P[value]
+    if callable(value):
+        return value
+    return lambda P: value
+
+
+def _tail(order, g, lower=0.0, frequency="z", kind="j", hint=None) -> Piece:
+    """The piece int_lower^inf g(P, u) C_order(frequency u) du, C the
+    kernel of ``kind`` ("j" or "y"); ``order``, ``lower`` and
+    ``frequency`` are each a parameter name, a number or a function of
+    the grid point, and ``hint`` declares a singularity at ``lower``."""
+    nu, lo, freq = _at(order), _at(lower), _at(frequency)
+    return Piece(
+        g,
+        lambda P: Interval.tail(lo(P), hint),
+        lambda P: OscillationSpec(nu(P), freq(P), kind),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -339,11 +352,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.512.3",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P, u: u ** (1.0 - P["mu"]),
-            interval=lambda P: Interval.tail(P["beta"]),
-            osc=lambda P: OscillationSpec(P["mu"], P["z"]),
-        ),),
+        pieces=(_tail("mu", lambda P, u: u ** (1.0 - P["mu"]), lower="beta"),),
     ))
 
     E.append(IntegralEntry(
@@ -359,7 +368,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.521.2",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", lambda P, u: u ** (P["nu"] + 1.0) / (1.0 + u * u)),
+        pieces=(_tail("nu", lambda P, u: u ** (P["nu"] + 1.0) / (1.0 + u * u)),),
     ))
 
     E.append(IntegralEntry(
@@ -375,7 +384,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.521.12",
         tol_class="Oscillatory",
-        pieces=_hankel(0.0, lambda P, u: u / (1.0 + u * u) ** 2),
+        pieces=(_tail(0.0, lambda P, u: u / (1.0 + u * u) ** 2),),
     ))
 
     E.append(IntegralEntry(
@@ -391,7 +400,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.521.12",
         tol_class="Oscillatory",
-        pieces=_hankel(1.0, lambda P, u: u * u / (1.0 + u * u) ** 2),
+        pieces=(_tail(1.0, lambda P, u: u * u / (1.0 + u * u) ** 2),),
     ))
 
     def _l_ratio(nu, l1, l2):
@@ -419,7 +428,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.12",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", lambda P, u: u * _l_ratio(P["nu"], *l1_l2(P["alpha"], u, P["gamma"]))),
+        pieces=(_tail("nu", lambda P, u: u * _l_ratio(P["nu"], *l1_l2(P["alpha"], u, P["gamma"]))),),
     ))
 
     E.append(IntegralEntry(
@@ -438,7 +447,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.12",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", lambda P, u: u * _l_ratio(P["nu"], *l1_l2(P["alpha"], P["beta"], u))),
+        pieces=(_tail("nu", lambda P, u: u * _l_ratio(P["nu"], *l1_l2(P["alpha"], P["beta"], u))),),
     ))
 
     E.append(IntegralEntry(
@@ -459,7 +468,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.4",
         tol_class="Oscillatory",
-        pieces=_hankel(0.0, lambda P, u: u / np.sqrt(_quartic(P["a"], P["b"], u))),
+        pieces=(_tail(0.0, lambda P, u: u / np.sqrt(_quartic(P["a"], P["b"], u))),),
     ))
 
     E.append(IntegralEntry(
@@ -480,7 +489,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.4",
         tol_class="Oscillatory",
-        pieces=_hankel(0.0, lambda P, u: u / _l_gap(u, P["b"], P["c"])),
+        pieces=(_tail(0.0, lambda P, u: u / _l_gap(u, P["b"], P["c"])),),
     ))
 
     def _t08_rhs(P, second):
@@ -509,9 +518,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.15",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", lambda P, u: (
+        pieces=(_tail("nu", lambda P, u: (
             u ** (P["nu"] + 1.0) / _l_gap(P["alpha"], u, P["gamma"]) ** (2.0 * P["nu"] + 1.0)
-        )),
+        )),),
     ))
 
     E.append(IntegralEntry(
@@ -531,9 +540,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.15",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", lambda P, u: (
+        pieces=(_tail("nu", lambda P, u: (
             u ** (P["nu"] + 1.0) / _l_gap(P["alpha"], P["beta"], u) ** (2.0 * P["nu"] + 1.0)
-        )),
+        )),),
     ))
 
     E.append(IntegralEntry(
@@ -557,11 +566,11 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.525.1",
         tol_class="Oscillatory",
-        pieces=_hankel(1.0, lambda P, u: (
+        pieces=(_tail(1.0, lambda P, u: (
             2.0 * u * u * (u * u + P["beta"] ** 2 - P["gamma"] ** 2)
             * ((u * u + P["beta"] ** 2 + P["gamma"] ** 2) ** 2
                - 4.0 * u * u * P["gamma"] ** 2) ** -1.5
-        )),
+        )),),
     ))
 
     E.append(IntegralEntry(
@@ -586,11 +595,11 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.525.1",
         tol_class="Oscillatory",
-        pieces=_hankel(0.0, lambda P, u: (
+        pieces=(_tail(0.0, lambda P, u: (
             u * (P["alpha"] ** 2 + P["beta"] ** 2 - u * u)
             * ((P["alpha"] ** 2 + P["beta"] ** 2 + u * u) ** 2
                - 4.0 * P["alpha"] ** 2 * u * u) ** -1.5
-        )),
+        )),),
     ))
 
     E.append(IntegralEntry(
@@ -613,10 +622,10 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.525.1",
         tol_class="Oscillatory",
-        pieces=_hankel(1.0, lambda P, u: (
+        pieces=(_tail(1.0, lambda P, u: (
             2.0 * u * u * (P["p"] ** 2 + u * u - P["gamma"] ** 2)
             / _l_gap(P["p"], u, P["gamma"]) ** 3
-        )),
+        )),),
     ))
 
     E.append(IntegralEntry(
@@ -640,9 +649,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.525.1",
         tol_class="Oscillatory",
-        pieces=_hankel(0.0, lambda P, u: (
+        pieces=(_tail(0.0, lambda P, u: (
             u * (P["p"] ** 2 + P["q"] ** 2 - u * u) / _l_gap(P["p"], P["q"], u) ** 3
-        )),
+        )),),
     ))
 
     E.append(IntegralEntry(
@@ -663,7 +672,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.9",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", lambda P, u: 1.0 / np.sqrt(u * u + 4.0 * P["a"] ** 2)),
+        pieces=(_tail("nu", lambda P, u: 1.0 / np.sqrt(u * u + 4.0 * P["a"] ** 2)),),
     ))
 
     E.append(IntegralEntry(
@@ -685,11 +694,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.10",
         tol_class="Singular",
-        pieces=(Piece(
-            integrand=lambda P, u: 1.0 / np.sqrt(u * u - 4.0 * P["a"] ** 2),
-            interval=lambda P: Interval.tail(2.0 * P["a"], ALGEBRAIC_AT_LOWER),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=(_tail("nu", lambda P, u: (
+            1.0 / np.sqrt(u * u - 4.0 * P["a"] ** 2)
+        ), lower=lambda P: 2.0 * P["a"], hint=ALGEBRAIC_AT_LOWER),),
     ))
 
     def _t12_g(P, u):
@@ -720,7 +727,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.522.12",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", _t12_g),
+        pieces=(_tail("nu", _t12_g),),
     ))
 
     E.append(IntegralEntry(
@@ -744,10 +751,10 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.525.2",
         tol_class="Oscillatory",
-        pieces=_hankel(0.0, lambda P, u: (
+        pieces=(_tail(0.0, lambda P, u: (
             u * (P["b"] ** 2 + u * u - P["a"] ** 2)
             * _quartic(P["a"], P["b"], u) ** -1.5
-        )),
+        )),),
     ))
 
     # ---- group 3: Bessel and Struve factors ----
@@ -765,7 +772,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.514.1",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", lambda P, u: _sp.jv(2.0 * P["nu"], 2.0 * np.sqrt(u))),
+        pieces=(_tail("nu", lambda P, u: _sp.jv(2.0 * P["nu"], 2.0 * np.sqrt(u))),),
     ))
 
     def _t15_modulator(P, u):
@@ -791,7 +798,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.514.3",
         tol_class="Decaying",
-        pieces=_hankel("nu", _t15_modulator),
+        pieces=(_tail("nu", _t15_modulator),),
     ))
 
     E.append(IntegralEntry(
@@ -812,14 +819,10 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.514.4",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P, u: (
-                _sp.kv(2.0 * P["nu"], 2.0 * np.sqrt(u))
-                - 0.5 * math.pi * _sp.yv(2.0 * P["nu"], 2.0 * np.sqrt(u))
-            ),
-            interval=lambda P: Interval.tail(0.0, ALGEBRAIC_AT_LOWER),
-            osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-        ),),
+        pieces=(_tail("nu", lambda P, u: (
+            _sp.kv(2.0 * P["nu"], 2.0 * np.sqrt(u))
+            - 0.5 * math.pi * _sp.yv(2.0 * P["nu"], 2.0 * np.sqrt(u))
+        ), hint=ALGEBRAIC_AT_LOWER),),
     ))
 
     # T17a/T18/T19 are stated for integrals of f(c) J(c^2/4) type kernels;
@@ -842,11 +845,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.516.1",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P, t: 2.0 * _sp.jv(2.0 * P["nu"], 2.0 * P["z"] * np.sqrt(t)),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"], 1.0),
-        ),),
+        pieces=(_tail("nu", lambda P, t: (
+            2.0 * _sp.jv(2.0 * P["nu"], 2.0 * P["z"] * np.sqrt(t))
+        ), frequency=1.0),),
     ))
 
     E.append(IntegralEntry(
@@ -866,16 +867,10 @@ def _build_entries() -> list:
         provenance="GR 6.516.1",
         tol_class="Oscillatory",
         pieces=(
-            Piece(
-                integrand=lambda P, u: _sp.jv(P["mu"], 0.25 / u),
-                interval=lambda P: Interval.tail(0.5),
-                osc=lambda P: OscillationSpec(P["mu"], P["z"]),
-            ),
-            Piece(
-                integrand=lambda P, u: _sp.jv(P["mu"], 0.25 * P["z"] / u) / (4.0 * u * u),
-                interval=lambda P: Interval.tail(0.5),
-                osc=lambda P: OscillationSpec(P["mu"], 1.0),
-            ),
+            _tail("mu", lambda P, u: _sp.jv(P["mu"], 0.25 / u), lower=0.5),
+            _tail("mu", lambda P, u: (
+                _sp.jv(P["mu"], 0.25 * P["z"] / u) / (4.0 * u * u)
+            ), lower=0.5, frequency=1.0),
         ),
     ))
 
@@ -895,11 +890,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.526.1",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P, t: 2.0 * _sp.jv(P["mu"], 2.0 * P["z"] * np.sqrt(t)),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["mu"] / 2.0, 1.0),
-        ),),
+        pieces=(_tail(lambda P: P["mu"] / 2.0, lambda P, t: (
+            2.0 * _sp.jv(P["mu"], 2.0 * P["z"] * np.sqrt(t))
+        ), frequency=1.0),),
     ))
 
     E.append(IntegralEntry(
@@ -918,13 +911,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.527.1",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P, t: (
-                0.5 * np.sqrt(t) * _sp.jv(2.0 * P["nu"], P["z"] * np.sqrt(t))
-            ),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"] + 0.5, 1.0),
-        ),),
+        pieces=(_tail(lambda P: P["nu"] + 0.5, lambda P, t: (
+            0.5 * np.sqrt(t) * _sp.jv(2.0 * P["nu"], P["z"] * np.sqrt(t))
+        ), frequency=1.0),),
     ))
 
     E.append(IntegralEntry(
@@ -943,13 +932,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.527.1",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P, t: (
-                0.5 * np.sqrt(t) * _sp.jv(2.0 * P["nu"], P["z"] * np.sqrt(t))
-            ),
-            interval=lambda P: Interval.full_half_line(),
-            osc=lambda P: OscillationSpec(P["nu"] - 0.5, 1.0),
-        ),),
+        pieces=(_tail(lambda P: P["nu"] - 0.5, lambda P, t: (
+            0.5 * np.sqrt(t) * _sp.jv(2.0 * P["nu"], P["z"] * np.sqrt(t))
+        ), frequency=1.0),),
     ))
 
     # T20 splits H_(nu/2)(c^2/4) = Y_(nu/2)(c^2/4) + [H - Y](c^2/4) past
@@ -978,18 +963,10 @@ def _build_entries() -> list:
                 ),
                 interval=lambda P: Interval.finite_from_zero(12.0),
             ),
-            Piece(
-                integrand=lambda P, t: 2.0 * _sp.jv(P["nu"], 2.0 * P["z"] * np.sqrt(t)),
-                interval=lambda P: Interval.tail(36.0),
-                osc=lambda P: OscillationSpec(P["nu"] / 2.0, 1.0, "y"),
-            ),
-            Piece(
-                integrand=lambda P, u: (
-                    u * struve_minus_y(P["nu"] / 2.0, u * u / 4.0)
-                ),
-                interval=lambda P: Interval.tail(12.0),
-                osc=lambda P: OscillationSpec(P["nu"], P["z"]),
-            ),
+            _tail(lambda P: P["nu"] / 2.0, lambda P, t: (
+                2.0 * _sp.jv(P["nu"], 2.0 * P["z"] * np.sqrt(t))
+            ), lower=36.0, frequency=1.0, kind="y"),
+            _tail("nu", lambda P, u: u * struve_minus_y(P["nu"] / 2.0, u * u / 4.0), lower=12.0),
         ),
     ))
 
@@ -1013,7 +990,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.526.4",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", lambda P, u: np.exp(-2.0 / u) / u),
+        pieces=(_tail("nu", lambda P, u: np.exp(-2.0 / u) / u),),
     ))
 
     E.append(IntegralEntry(
@@ -1048,11 +1025,7 @@ def _build_entries() -> list:
                 ),
                 interval=lambda P: Interval.finite_from_zero(P["a"], ALGEBRAIC_AT_UPPER),
             ),
-            Piece(
-                integrand=lambda P, u: np.log((u / P["a"]) ** 2 - 1.0),
-                interval=lambda P: Interval.tail(2.0 * P["a"]),
-                osc=lambda P: OscillationSpec(1.0, P["z"]),
-            ),
+            _tail(1.0, lambda P, u: np.log((u / P["a"]) ** 2 - 1.0), lower=lambda P: 2.0 * P["a"]),
         ),
     ))
 
@@ -1069,7 +1042,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.512.9",
         tol_class="Oscillatory",
-        pieces=_hankel(1.0, lambda P, u: np.log1p(u * u)),
+        pieces=(_tail(1.0, lambda P, u: np.log1p(u * u)),),
     ))
 
     E.append(IntegralEntry(
@@ -1160,16 +1133,10 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.512.2",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P, u: (
-                hyp2f1_terminating(
-                    P["mu"], int(P["n"]), P["mu"] - P["n"], (P["beta"] / u) ** 2
-                )
-                * u ** (P["n"] - P["mu"] + 1.0)
-            ),
-            interval=lambda P: Interval.tail(P["beta"]),
-            osc=lambda P: OscillationSpec(P["mu"] + P["n"], P["t"]),
-        ),),
+        pieces=(_tail(lambda P: P["mu"] + P["n"], lambda P, u: (
+            hyp2f1_terminating(P["mu"], int(P["n"]), P["mu"] - P["n"], (P["beta"] / u) ** 2)
+            * u ** (P["n"] - P["mu"] + 1.0)
+        ), lower="beta", frequency="t"),),
     ))
 
     def _legendre_w(u):
@@ -1195,7 +1162,7 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.513.3",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", _t26_g),
+        pieces=(_tail("nu", _t26_g),),
     ))
 
     E.append(IntegralEntry(
@@ -1214,9 +1181,9 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.513.5",
         tol_class="Oscillatory",
-        pieces=_hankel("nu", lambda P, u: (
+        pieces=(_tail("nu", lambda P, u: (
             legendre_q0(P["nu"] / 2.0 - 0.5, _legendre_w(u)) ** 2
-        )),
+        )),),
     ))
 
     # ---- group 6: Jacobi and Chebyshev polynomial factors ----
@@ -1240,14 +1207,10 @@ def _build_entries() -> list:
         ),
         provenance="GR 6.512.4",
         tol_class="Oscillatory",
-        pieces=(Piece(
-            integrand=lambda P, u: (
-                _sp.eval_jacobi(int(P["n"]), P["nu"], 0.0, 1.0 - 2.0 * (P["beta"] / u) ** 2)
-                * u ** (-P["nu"])
-            ),
-            interval=lambda P: Interval.tail(P["beta"]),
-            osc=lambda P: OscillationSpec(P["nu"] + 2.0 * P["n"] + 1.0, P["z"]),
-        ),),
+        pieces=(_tail(lambda P: P["nu"] + 2.0 * P["n"] + 1.0, lambda P, u: (
+            _sp.eval_jacobi(int(P["n"]), P["nu"], 0.0, 1.0 - 2.0 * (P["beta"] / u) ** 2)
+            * u ** (-P["nu"])
+        ), lower="beta"),),
     ))
 
     E.append(IntegralEntry(
