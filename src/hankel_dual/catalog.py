@@ -998,9 +998,8 @@ def _build_entries() -> list:
         group=4,
         description=(
             "int_0^inf J_1(b z) ln|1 - b^2/a^2| db = -pi Y_0(a z) / z   "
-            "[the inner piece (0, a) carries ln(1 - b^2/a^2); the "
-            "logarithmic singularity on (a, 2a) is mirrored to an upper "
-            "endpoint by b -> 2a - b]"
+            "[the pieces on (0, a) and (a, 2a) are integrated in the "
+            "distance d = |b - a| to the logarithmic singularity]"
         ),
         rhs=lambda P: -math.pi * _sp.yv(0.0, P["a"] * P["z"]) / P["z"],
         constraints=_pos("a", "z"),
@@ -1013,17 +1012,18 @@ def _build_entries() -> list:
         tol_class="Singular",
         pieces=(
             Piece(
-                integrand=lambda P, u: (
-                    _sp.jv(1.0, u * P["z"]) * np.log1p(-((u / P["a"]) ** 2))
+                integrand=lambda P, d: (
+                    _sp.jv(1.0, (P["a"] - d) * P["z"])
+                    * np.log(d / P["a"] * (2.0 - d / P["a"]))
                 ),
-                interval=lambda P: Interval.finite_from_zero(P["a"], ALGEBRAIC_AT_UPPER),
+                interval=lambda P: Interval.finite_from_zero(P["a"], ALGEBRAIC_AT_LOWER),
             ),
             Piece(
-                integrand=lambda P, v: (
-                    _sp.jv(1.0, (2.0 * P["a"] - v) * P["z"])
-                    * np.log(((2.0 * P["a"] - v) / P["a"]) ** 2 - 1.0)
+                integrand=lambda P, d: (
+                    _sp.jv(1.0, (P["a"] + d) * P["z"])
+                    * np.log(d / P["a"] * (2.0 + d / P["a"]))
                 ),
-                interval=lambda P: Interval.finite_from_zero(P["a"], ALGEBRAIC_AT_UPPER),
+                interval=lambda P: Interval.finite_from_zero(P["a"], ALGEBRAIC_AT_LOWER),
             ),
             _tail(1.0, lambda P, u: np.log((u / P["a"]) ** 2 - 1.0), lower=lambda P: 2.0 * P["a"]),
         ),
@@ -1140,11 +1140,12 @@ def _build_entries() -> list:
     ))
 
     def _legendre_w(u):
-        return np.sqrt(1.0 + 4.0 / (u * u))
+        """w = sqrt(1 + 4/u^2) and its complement 1 - w^-2 = 4/(u^2 + 4)."""
+        return np.sqrt(1.0 + 4.0 / (u * u)), 4.0 / (u * u + 4.0)
 
     def _t26_g(P, u):
-        w = _legendre_w(u)
-        return legendre_p0(P["nu"] / 2.0 - 0.5, w) * legendre_q0(P["nu"] / 2.0 - 0.5, w)
+        w, comp = _legendre_w(u)
+        return legendre_p0(P["nu"] / 2.0 - 0.5, w) * legendre_q0(P["nu"] / 2.0 - 0.5, w, comp)
 
     E.append(IntegralEntry(
         id="T26",
@@ -1182,7 +1183,7 @@ def _build_entries() -> list:
         provenance="GR 6.513.5",
         tol_class="Oscillatory",
         pieces=(_tail("nu", lambda P, u: (
-            legendre_q0(P["nu"] / 2.0 - 0.5, _legendre_w(u)) ** 2
+            legendre_q0(P["nu"] / 2.0 - 0.5, *_legendre_w(u)) ** 2
         )),),
     ))
 

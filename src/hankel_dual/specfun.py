@@ -128,20 +128,23 @@ def legendre_p0(deg: float, x: np.ndarray) -> np.ndarray:
     return _sp.hyp2f1(-deg, deg + 1.0, 1.0, 0.5 * (1.0 - x))
 
 
-def legendre_q0(deg: float, x: np.ndarray) -> np.ndarray:
-    """Q_deg(x) for x > 1 at order 0.
+def legendre_q0(deg: float, x: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """Q_deg(x) for x > 1 at order 0, given comp = 1 - x^-2.
 
     Away from x=1 this is the standard large-argument hypergeometric
-    representation; close to x=1 the 2F1 argument approaches 1 in the
-    logarithmic (c = a+b) case, so we sum that log expansion directly
-    to avoid accuracy loss.
+    representation; close to x=1 (comp < 0.015) the 2F1 argument
+    approaches 1 in the logarithmic (c = a+b) case, so we sum that log
+    expansion directly, in powers of comp.  The caller passes comp
+    because near x=1 it cannot be recomputed from a rounded x: 1 - x^-2
+    would lose digits like eps/comp.
     """
     x = np.asarray(x, dtype=float)
+    comp = np.asarray(comp, dtype=float)
     a = 0.5 * deg + 1.0
     b = 0.5 * (deg + 1.0)
     w = x ** (-2.0)
     out = np.empty_like(x)
-    near = w > 0.985
+    near = comp < 0.015
     if np.any(~near):
         xf = x[~near]
         pref = (
@@ -153,7 +156,7 @@ def legendre_q0(deg: float, x: np.ndarray) -> np.ndarray:
         out[~near] = pref * _sp.hyp2f1(a, b, deg + 1.5, w[~near])
     if np.any(near):
         xn = x[near]
-        u = 1.0 - w[near]  # in (0, 0.015]
+        u = comp[near]  # in (0, 0.015)
         lg = -np.log(u)
         acc = np.zeros_like(u)
         coeff = np.ones_like(u)

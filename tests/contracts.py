@@ -211,7 +211,8 @@ def _jacobi(out):
 
 def _legendre(out):
     xs = np.array((1.01, 2.0, 10.0))
-    q0, q1 = legendre_q0(0.0, xs), legendre_q0(1.0, xs)
+    comps = 1.0 - xs**-2.0
+    q0, q1 = legendre_q0(0.0, xs, comps), legendre_q0(1.0, xs, comps)
     p0, p1 = legendre_p0(0.0, xs), legendre_p0(1.0, xs)
     for m, x in enumerate(xs.tolist()):
         half_log = 0.5 * math.log((x + 1.0) / (x - 1.0))
@@ -222,11 +223,11 @@ def _legendre(out):
     # Casoratian P_v Q_{v-1} - P_{v-1} Q_v = 1/v at order 0, evaluated at
     # T26/T27's arguments sqrt(1 + 4/c^2): every point is on Q's log branch
     cs = np.geomspace(20.0, 1e5, 8)
-    xs = np.sqrt(1.0 + 4.0 / cs**2)
+    xs, comps = np.sqrt(1.0 + 4.0 / cs**2), 4.0 / (cs**2 + 4.0)
     for nu in (0.5, 1.0, 1.5, 2.0):
         casoratian = (
-            legendre_p0(nu, xs) * legendre_q0(nu - 1.0, xs)
-            - legendre_p0(nu - 1.0, xs) * legendre_q0(nu, xs)
+            legendre_p0(nu, xs) * legendre_q0(nu - 1.0, xs, comps)
+            - legendre_p0(nu - 1.0, xs) * legendre_q0(nu, xs, comps)
         )
         for c, got in zip(cs.tolist(), casoratian):
             out.append((f"Legendre Casoratian nu={nu} c={c:.4g}", got, 1.0 / nu, 1e-14))

@@ -213,7 +213,7 @@ def test_chirped_entry_off_grid_within_its_bound(entry_id, params):
 @pytest.mark.parametrize("grid_index", [0, 1, 2])
 def test_endpoint_singular_entry_converges_at_tight_tol(entry_id, grid_index):
     # an inverse square root at the tail's lower end (T11) and a log at
-    # each piece's upper end (T22) are smoothed by x = end -+ w s^2, so
+    # each finite piece's lower end (T22) are smoothed by x = end + w s^2, so
     # even a tolerance far under the class one is met, and honestly
     e = entry_by_id(entry_id)
     P = e.default_grid[grid_index]
@@ -221,6 +221,17 @@ def test_endpoint_singular_entry_converges_at_tight_tol(entry_id, grid_index):
     err = abs(res.value - float(e.rhs(P)))
     assert res.converged, (res, err)
     assert err <= 5.0 * res.abs_err, (res, err)
+
+
+def test_t22_log_ends_stay_finite_at_1e_14():
+    # both finite pieces run in the distance d to the log end, so d = a s^2
+    # never rounds to 0 before the end; (2a - v)/a squared minus 1 did, and
+    # the log of that 0 (a RuntimeWarning, so an error in this suite) made
+    # the lhs -inf
+    e = entry_by_id("T22")
+    for P in e.default_grid:
+        res = e.lhs(P, tol=1e-14)
+        assert math.isfinite(res.value), (P, res)
 
 
 @pytest.mark.parametrize("grid_index", [0, 1, 2])

@@ -58,4 +58,9 @@ def test_dump_two_entries_and_one_seed_then_diff(tmp_path, capsys):
     assert "verify@1e-15: 1 of 6 rows moved" in lines
     assert any(line.startswith("    T04[1]: ") and '-> {"lhs": "0.5"' in line for line in lines)
     assert "verify@1e-14: identical (6 rows)" in lines
+    # the ladder counts of each side: the moved lhs is a converged row outside 5x
+    ladder = next(line for line in lines if line.startswith("    verify@1e-15: "))
+    a_side, b_side = ladder.removeprefix("    verify@1e-15: ").split(" | ")
+    assert a_side.startswith("6/0/0, ") and a_side.endswith(", 0 outside 5x, 0 non-finite")
+    assert b_side.startswith("6/0/0, ") and b_side.endswith(", 1 outside 5x, 0 non-finite")
     assert any("seed 0: 0 / 1 failing" in line for line in lines)

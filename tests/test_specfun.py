@@ -10,7 +10,7 @@ import scipy.special as sp
 
 from contracts import contract_checks
 from hankel_dual.errors import DomainError
-from hankel_dual.specfun import bessel_zeros, cylinder, struve_minus_y
+from hankel_dual.specfun import bessel_zeros, cylinder, legendre_q0, struve_minus_y
 
 
 @pytest.mark.parametrize(
@@ -35,6 +35,20 @@ def test_complex_bessel_k_matches_mpmath_on_rays(order, ray):
         with mpmath.workdps(30):
             want = complex(mpmath.besselk(order, mpmath.mpc(z.real, z.imag)))
         assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), (order, u)
+
+
+@pytest.mark.parametrize("deg", [0.0, 0.5, 1.0])
+def test_legendre_q0_at_t26_t27_arguments_matches_mpmath(deg):
+    # T26 and T27 run Q_deg at x = sqrt(1 + 4/c^2), deg = nu/2 - 1/2 for the
+    # grid's nu in {1, 2, 3}, and pass the complement 1 - x^-2 = 4/(c^2 + 4);
+    # against Q at the exact argument, not at the rounded x, which is where
+    # recomputing 1 - x^-2 from x loses digits like eps/(1 - x^-2)
+    cs = np.geomspace(1.0, 1e5, 41)
+    got = legendre_q0(deg, np.sqrt(1.0 + 4.0 / cs**2), 4.0 / (cs**2 + 4.0))
+    with mpmath.workdps(40):
+        for c, q in zip(cs.tolist(), got):
+            want = mpmath.legenq(deg, 0, mpmath.sqrt(1 + 4 / mpmath.mpf(c) ** 2), type=3)
+            assert abs(q - want) <= 1e-14 * abs(want), (deg, c)
 
 
 def test_struve_parameter_checks():

@@ -28,8 +28,11 @@ neither is compared.  A full dump takes about 30 s of CPU on a 2-core
 x86-64 machine.
 
 ``diff`` says, per section, whether the two dumps are identical and
-lists the rows that moved, then the failing round-trip rows and the CPU
-of each seed on both sides.  It exits 0 when every section is identical
+lists the rows that moved.  Then, for each verify section on both
+sides, it counts the Pass, Fail and Inconclusive rows, the evaluations,
+the converged rows outside 5x their quad_abs_err and the rows with a
+non-finite lhs; and it prints the failing round-trip rows and the CPU
+of each seed.  It exits 0 when every section is identical
 and 1 otherwise.
 """
 
@@ -40,6 +43,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -48,6 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNGS = (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15)
 SEEDS = tuple(range(23))
+STATUSES = ("Pass", "Fail", "Inconclusive")
 
 
 def _workloads():
@@ -168,6 +173,21 @@ def _move(a, b) -> str:
     return f"exit {a['exit']} -> {b['exit']}, line {k + 1}: {la[k]!r} -> {lb[k]!r}"
 
 
+def _ladder(rows: dict) -> str:
+    """A verify section's counts: statuses, evaluations, converged rows
+    outside 5x their quad_abs_err, and rows whose lhs is not finite."""
+    count = {s: sum(r["status"] == s for r in rows.values()) for s in STATUSES}
+    outside = sum(
+        r["status"] != "Inconclusive"
+        and abs(float(r["lhs"]) - float(r["rhs"])) > 5.0 * float(r["quad_abs_err"])
+        for r in rows.values()
+    )
+    nonfinite = sum(not math.isfinite(float(r["lhs"])) for r in rows.values())
+    evaluations = sum(r["evaluations"] for r in rows.values())
+    return ("/".join(str(count[s]) for s in STATUSES)
+            + f", {evaluations:,} evals, {outside} outside 5x, {nonfinite} non-finite")
+
+
 def diff(a: dict, b: dict) -> tuple:
     """(report lines, whether every section is identical)."""
     sa, sb = a["sections"], b["sections"]
@@ -186,6 +206,10 @@ def diff(a: dict, b: dict) -> tuple:
         same = False
         lines.append(f"{name}: {len(moved)} of {len(keys)} rows moved")
         lines += [f"    {k}: {_move(ra.get(k), rb.get(k))}" for k in moved]
+    lines.append(f"verify rows per section (A | B): {'/'.join(STATUSES)}, evaluations, "
+                 "converged rows outside 5x quad_abs_err, rows with a non-finite lhs:")
+    for name in [n for n in sa if n.startswith("verify@") and n in sb]:
+        lines.append(f"    {name}: {_ladder(sa[name])} | {_ladder(sb[name])}")
     fa, fb = a["roundtrip_failing"], b["roundtrip_failing"]
     ca, cb = a["cpu_s"], b["cpu_s"]
     lines.append("roundtrip rows failing the benchmark check per pass, and pass CPU s (A / B):")
